@@ -3,8 +3,11 @@
 Pool members are stacked into arrays so that every equation sharing a parent
 mask advances in one set of array operations: axis ``b`` runs over equations
 (assets, or orderings for the factor block), axis ``p`` over discount
-combinations.  The recursions are the same as in the ``dlm`` module; the
-test suite asserts equivalence against the per-state reference kernel.
+combinations.  The state is stored component-major, with the regression
+dimensions leading: ``m`` is (d, b, p) and ``C`` is (d, d, b, p), so every
+elementwise pass runs over contiguous b x p planes.  The recursions are the
+same as in the ``dlm`` module; the test suite asserts equivalence against the
+per-state reference kernel.
 
 Degrees of freedom evolve as n <- kappa * n + 1 independently of the data,
 so ``n`` is stored once per discount combination rather than per equation.
@@ -33,8 +36,18 @@ def t_logpdf_grid(y, f, q, dof, log_norm=None):
 class PoolGroup:
     """States of all pool members sharing one parent index set.
 
-    Arrays: m (b, p, d), C (b, p, d, d), s (b, p), n (p,).  ``idx`` holds the
-    parent factor indices; the regression dimension is 1 + len(idx).
+    ``idx`` holds the parent factor indices; the regression dimension is
+    d = 1 + len(idx).  The state lives component-major in ``_m`` (d, b, p)
+    and ``_C`` (d, d, b, p), with s (b, p) and n (p,).  ``m`` and ``C`` read
+    it as (b, p, d[, d]) views.
+
+    The evolution has identity transition, so it moves nothing: the prior
+    mean ``a`` is ``m`` and the prior scale ``R`` is C / delta, which
+    ``forecast`` and ``update`` fold in instead of materializing.  ``update``
+    advances the state in place, so ``a``, ``R`` and ``s_prev`` describe the
+    prior only between ``evolve`` and ``update``.  C stays exactly
+    symmetric: the update scales it elementwise and subtracts the outer
+    product g g', whose (i, j) and (j, i) entries are the same product.
     """
 
     def __init__(self, idx, n_eq: int, deltas, kappas, s0, c0: float = 100.0,
@@ -45,34 +58,55 @@ class PoolGroup:
         self.kappas = np.asarray(kappas, float)
         self.P = self.deltas.size
         self.n_eq = n_eq
-        self.m = np.zeros((n_eq, self.P, self.d))
-        base = c0 * np.eye(self.d)
-        self.C = np.broadcast_to(base, (n_eq, self.P, self.d, self.d)).copy()
+        self._m = np.zeros((self.d, n_eq, self.P))
+        self._C = np.zeros((self.d, self.d, n_eq, self.P))
+        diag = np.arange(self.d)
+        self._C[diag, diag] = c0
         s0 = np.broadcast_to(np.asarray(s0, float), (n_eq,))
         self.s = np.repeat(s0[:, None], self.P, axis=1)
         self.n = np.full(self.P, n0)
         # evolved prior quantities, populated by evolve()
-        self.a = None
-        self.R = None
         self.r = None
         self.s_prev = None
+        self._CF = None     # C F from forecast(), consumed by update()
+
+    @property
+    def m(self) -> np.ndarray:
+        return np.moveaxis(self._m, 0, -1)
+
+    @m.setter
+    def m(self, value) -> None:
+        self._m[...] = np.moveaxis(np.asarray(value, float), -1, 0)
+
+    a = m
+
+    @property
+    def C(self) -> np.ndarray:
+        return self._C.transpose(2, 3, 0, 1)
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.C / self.deltas[None, :, None, None]
 
     def evolve(self) -> None:
-        self.a = self.m
-        self.R = self.C / self.deltas[None, :, None, None]
         self.r = self.kappas * self.n
         self.s_prev = self.s
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forecast mean and variance factor; F is (d,) shared or (b, d)."""
         if F.ndim == 1:
-            f = self.a @ F
-            q = self.s_prev + np.einsum("bpij,i,j->bp", self.R, F, F)
+            # C is symmetric, so contracting its first index gives C F
+            CF = (F @ self._C.reshape(self.d, -1)).reshape(self._m.shape)
+            f = (F @ self._m.reshape(self.d, -1)).reshape(self.s.shape)
+            FCF = (F @ CF.reshape(self.d, -1)).reshape(self.s.shape)
         else:
-            f = np.einsum("bpi,bi->bp", self.a, F)
-            q = self.s_prev + np.einsum("bpij,bi,bj->bp", self.R, F, F)
+            CF = np.einsum("ijbp,bj->ibp", self._C, F)
+            f = np.einsum("ibp,bi->bp", self._m, F)
+            FCF = np.einsum("ibp,bi->bp", CF, F)
+        q = self.s_prev + FCF / self.deltas
         if np.any(q <= 0):
             raise NumericError("non-positive forecast variance in batched filter")
+        self._CF = CF
         return f, q
 
     def log_densities(self, y, f, q) -> np.ndarray:
@@ -80,26 +114,31 @@ class PoolGroup:
         log_norm = gammaln((self.r + 1.0) / 2.0) - gammaln(self.r / 2.0)
         return t_logpdf_grid(np.asarray(y, float).reshape(-1, 1), f, q, dof, log_norm[None, :])
 
-    def update(self, y, F: np.ndarray, f: np.ndarray, q: np.ndarray) -> None:
-        """Posterior update for all members given the realized y and regressor."""
+    def update(self, y, f: np.ndarray, q: np.ndarray) -> None:
+        """Posterior update in place, given the realized y and the forecast (f, q).
+
+        Uses the C F of the preceding ``forecast`` call, so the regressor is
+        the one given there.
+        """
         e = np.asarray(y, float).reshape(-1, 1) - f
-        if F.ndim == 1:
-            RF = self.R @ F
-        else:
-            RF = np.einsum("bpij,bj->bpi", self.R, F)
-        A = RF / q[..., None]
-        r = self.r[None, :]
+        r = self.r
         z = (r + e * e / q) / (r + 1.0)
-        self.m = self.a + A * e[..., None]
-        C = (self.R - A[..., :, None] * A[..., None, :] * q[..., None, None]) * z[..., None, None]
-        self.C = (C + np.swapaxes(C, -1, -2)) / 2.0
-        self.s = self.s_prev * z
-        self.n = self.r + 1.0
+        A = self._CF
+        self._CF = None
+        A /= self.deltas * q            # adaptive vector R F / q
+        self._m += A * e
+        A *= np.sqrt(q * z)             # g, with g g' = A A' q z
+        self._C *= z / self.deltas
+        self._C -= A[:, None] * A[None, :]
+        self.s *= z
+        self.n = r + 1.0
 
     def selected(self, members: np.ndarray, p_idx: np.ndarray):
         """Gather the evolved prior of chosen members: (a, R, r, s_prev)."""
-        return (self.a[members, p_idx], self.R[members, p_idx],
-                self.r[p_idx], self.s_prev[members, p_idx])
+        a = self._m[:, members, p_idx].T
+        R = (self._C[:, :, members, p_idx].transpose(2, 0, 1)
+             / self.deltas[p_idx][:, None, None])
+        return a, R, self.r[p_idx], self.s_prev[members, p_idx]
 
 
 def recursive_factor_moments(perms: np.ndarray, a_sel, R_sel, r_sel, s_sel,

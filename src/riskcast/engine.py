@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from . import benchmarks as bench
 from . import portfolio as pf
@@ -157,6 +156,20 @@ def _ols_residual_variance(y: np.ndarray, X: np.ndarray) -> float:
     return max(float(resid.var()), 1e-12)
 
 
+def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
+    """log(sum(exp(a))) over ``axis``, shifted by the maximum for stability.
+
+    Rows whose maximum is not finite are shifted by 0, so a row of -inf
+    gives -inf and a row holding +inf gives +inf.
+    """
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True))
+    out += shift
+    return out if keepdims else np.squeeze(out, axis=axis)[()]
+
+
 def _normalize_rows(lp: np.ndarray) -> np.ndarray:
     return lp - logsumexp(lp, axis=-1, keepdims=True)
 
@@ -252,17 +265,15 @@ class _DynamicFactorFilter:
         self._map(lambda g: g.evolve(), self.asset_groups + self.factor_groups)
 
         # factor block: select per (ordering, position) on predicted probabilities
-        a_sel, R_sel, r_sel, s_sel, sel_f = [], [], [], [], []
+        priors, sel_f, lp_pred_f = [], [], []
         rows = np.arange(self.n_ord)
         for jj in range(self.K):
             lp_pred = _normalize_rows(cfg.alpha * self.factor_log_probs[jj])
             sel = np.argmax(lp_pred, axis=1)
             sel_f.append(sel)
-            grp = self.factor_groups[jj]
-            a_sel.append(grp.a[rows, sel])
-            R_sel.append(grp.R[rows, sel])
-            r_sel.append(grp.r[sel])
-            s_sel.append(grp.s_prev[rows, sel])
+            lp_pred_f.append(lp_pred)
+            priors.append(self.factor_groups[jj].selected(rows, sel))
+        a_sel, R_sel, r_sel, s_sel = zip(*priors)
         lam_o, sig_o = recursive_factor_moments(self.perms, a_sel, R_sel, r_sel, s_sel,
                                                 cfg.dof_floor)
         if np.any(np.concatenate([np.atleast_1d(r) for r in r_sel]) <= cfg.dof_floor):
@@ -280,7 +291,8 @@ class _DynamicFactorFilter:
         sel_assets = np.argmax(lp_pred_assets, axis=1)
         mean, B, idio = batched_asset_moments(self.asset_groups, sel_assets, lam, sig,
                                               cfg.dof_floor)
-        return mean, B, idio, lam, sig, (sel_assets, sel_f, lp_ord_pred)
+        selection = (sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f)
+        return mean, B, idio, lam, sig, selection
 
     def update_step(self, t: int, selection) -> tuple[float, np.ndarray]:
         """Observe date t, update probabilities and states everywhere.
@@ -288,8 +300,7 @@ class _DynamicFactorFilter:
         Returns (asset-block log predictive density of the selected models,
         posterior inclusion probabilities (N, K)).
         """
-        cfg = self.config
-        sel_assets, sel_f, lp_ord_pred = selection
+        sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f = selection
         yF = self.F[t]
         yR = self.R[t]
 
@@ -306,9 +317,8 @@ class _DynamicFactorFilter:
             f, q = grp.forecast(Freg)
             dens = grp.log_densities(y, f, q)
             joint += dens[rows, sel_f[jj]]
-            lp_pred = _normalize_rows(cfg.alpha * self.factor_log_probs[jj])
-            self.factor_log_probs[jj] = _normalize_rows(lp_pred + dens)
-            grp.update(y, Freg, f, q)
+            self.factor_log_probs[jj] = _normalize_rows(lp_pred_f[jj] + dens)
+            grp.update(y, f, q)
         self.ordering_log_probs = lp_ord_pred + joint
         self.ordering_log_probs -= logsumexp(self.ordering_log_probs)
 
@@ -318,13 +328,12 @@ class _DynamicFactorFilter:
             Freg = np.concatenate(([1.0], yF[grp.idx]))
             f, q = grp.forecast(Freg)
             dens = grp.log_densities(yR, f, q)
-            grp.update(yR, Freg, f, q)
+            grp.update(yR, f, q)
             return dens
 
         dens_groups = self._map(advance, list(enumerate(self.asset_groups)))
         dens_all = np.concatenate(dens_groups, axis=1)
-        lp_pred = _normalize_rows(cfg.alpha * self.asset_log_probs)
-        self.asset_log_probs = _normalize_rows(lp_pred + dens_all)
+        self.asset_log_probs = _normalize_rows(lp_pred_assets + dens_all)
         lpd = float(dens_all[np.arange(self.N), sel_assets].sum())
         inclusion = np.exp(self.asset_log_probs) @ self.include_mask
         return lpd, inclusion

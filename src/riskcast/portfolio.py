@@ -99,8 +99,7 @@ def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float, date: str = ""
     if cov.shape != (n, n):
         raise ShapeError(f"cov has shape {cov.shape}, expected ({n}, {n})")
     ones = np.ones(n)
-    si_one = _solve_spd(cov, ones)
-    si_mu = _solve_spd(cov, mean)
+    si_one, si_mu = _solve_spd(cov, np.column_stack((ones, mean))).T
     A = float(ones @ si_one)
     B = float(ones @ si_mu)
     C = float(mean @ si_mu)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from riskcast import dlm, portfolio as pf, recouple
 from riskcast._batch import PoolGroup, batched_asset_moments, recursive_factor_moments
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
-from riskcast.engine import MODEL_NAME, RunConfig, _DynamicFactorFilter, run_backtest, run_statistics_only
+from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
+                             run_statistics_only)
 from riskcast.selection import ModelSpec
 
 
@@ -22,38 +23,81 @@ def small_panel(seed=0, N=6, K=2, T=120, train=40):
     return generate_synthetic(spec)[0]
 
 
+def check_pool_group_against_reference(per_equation_regressors):
+    """Advance a PoolGroup and the scalar ``dlm`` kernel side by side.
+
+    With ``per_equation_regressors`` every equation gets its own regressor
+    row, F of shape (b, d), as the factor pools use it; otherwise F is one
+    (d,) vector shared by all equations, as in the asset pools.
+    """
+    rng = np.random.default_rng(0)
+    deltas = [0.998, 1.0]
+    kappas = [0.99, 1.0]
+    P = len(deltas) * len(kappas)
+    dl = [d for d in deltas for _ in kappas]
+    kl = [k for _ in deltas for k in kappas]
+    s0 = rng.uniform(0.5, 2.0, size=3)
+    group = PoolGroup([0, 1], 3, dl, kl, s0)
+    states = [[dlm.init_state(3, float(s0[b])) for _ in range(P)] for b in range(3)]
+    for _ in range(15):
+        if per_equation_regressors:
+            Freg = np.column_stack([np.ones(3), rng.normal(size=(3, 2))])
+        else:
+            Freg = np.concatenate(([1.0], rng.normal(size=2)))
+        y = rng.normal(size=3)
+        group.evolve()
+        f, q = group.forecast(Freg)
+        dens = group.log_densities(y, f, q)
+        group.update(y, f, q)
+        for b in range(3):
+            Fb = Freg[b] if per_equation_regressors else Freg
+            for p in range(P):
+                prior = dlm.evolve(states[b][p], dl[p], kl[p])
+                fc = dlm.forecast(prior, Fb)
+                assert f[b, p] == pytest.approx(fc.f, abs=1e-12)
+                assert q[b, p] == pytest.approx(fc.q, abs=1e-12)
+                assert dens[b, p] == pytest.approx(
+                    dlm.log_predictive_density(fc, float(y[b])), abs=1e-10)
+                states[b][p] = dlm.update(prior, Fb, float(y[b]))
+                np.testing.assert_allclose(group.m[b, p], states[b][p].m, atol=1e-12)
+                np.testing.assert_allclose(group.C[b, p], states[b][p].C, atol=1e-12)
+                assert group.s[b, p] == pytest.approx(states[b][p].s, abs=1e-12)
+        np.testing.assert_allclose(group.n, [st.n for st in states[0]], atol=1e-12)
+
+
 class TestBatchedKernelEquivalence:
     def test_pool_group_matches_reference_ops(self):
-        rng = np.random.default_rng(0)
-        deltas = [0.998, 1.0]
-        kappas = [0.99, 1.0]
-        P = len(deltas) * len(kappas)
-        dl = [d for d in deltas for _ in kappas]
-        kl = [k for _ in deltas for k in kappas]
-        s0 = rng.uniform(0.5, 2.0, size=3)
-        group = PoolGroup([0, 1], 3, dl, kl, s0)
-        states = [[dlm.init_state(3, float(s0[b])) for _ in range(P)] for b in range(3)]
-        for _ in range(15):
-            yF = rng.normal(size=2)
-            y = rng.normal(size=3)
-            Freg = np.concatenate(([1.0], yF))
-            group.evolve()
-            f, q = group.forecast(Freg)
-            dens = group.log_densities(y, f, q)
-            group.update(y, Freg, f, q)
-            for b in range(3):
-                for p in range(P):
-                    prior = dlm.evolve(states[b][p], dl[p], kl[p])
-                    fc = dlm.forecast(prior, Freg)
-                    assert f[b, p] == pytest.approx(fc.f, abs=1e-12)
-                    assert q[b, p] == pytest.approx(fc.q, abs=1e-12)
-                    assert dens[b, p] == pytest.approx(
-                        dlm.log_predictive_density(fc, float(y[b])), abs=1e-10)
-                    states[b][p] = dlm.update(prior, Freg, float(y[b]))
-                    np.testing.assert_allclose(group.m[b, p], states[b][p].m, atol=1e-12)
-                    np.testing.assert_allclose(group.C[b, p], states[b][p].C, atol=1e-12)
-                    assert group.s[b, p] == pytest.approx(states[b][p].s, abs=1e-12)
-            np.testing.assert_allclose(group.n, [st.n for st in states[0]], atol=1e-12)
+        check_pool_group_against_reference(per_equation_regressors=False)
+
+    def test_pool_group_matches_reference_ops_per_equation_regressors(self):
+        check_pool_group_against_reference(per_equation_regressors=True)
+
+    def test_covariance_stays_exactly_symmetric(self):
+        # the update subtracts g g' instead of symmetrizing, so C - C' must be 0
+        panel = small_panel(seed=16, N=5, K=3, T=60, train=20)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
+        assert flt.n_ord == 6
+        for t in range(panel.T):
+            flt.update_step(t, flt.forecast_step()[-1])
+            for grp in flt.asset_groups + flt.factor_groups:
+                assert np.max(np.abs(grp.C - np.swapaxes(grp.C, -1, -2))) == 0.0
+        flt.close()
+
+    def test_logsumexp_matches_scipy(self):
+        rng = np.random.default_rng(17)
+        lp = rng.normal(size=(6, 40)) * 30.0
+        lp[:2] += 1e4
+        lp[2] -= 1e4
+        lp[3, ::3] = -np.inf
+        lp[4, 5] = -np.inf
+        lp[5] = -np.inf
+        for axis in (-1, 0):
+            np.testing.assert_allclose(logsumexp(lp, axis=axis, keepdims=True),
+                                       scipy_logsumexp(lp, axis=axis, keepdims=True),
+                                       rtol=0, atol=1e-12)
+        for row in lp[:5]:
+            assert logsumexp(row) == pytest.approx(scipy_logsumexp(row), rel=0, abs=1e-12)
+        assert logsumexp(lp[5]) == -np.inf
 
     def test_recursive_factor_moments_match_reference(self):
         rng = np.random.default_rng(1)
@@ -180,7 +224,7 @@ class TestComposedOracle:
                     fc = dlm.forecast(prior, Freg)
                     cum[j, mi] += dlm.log_predictive_density(fc, float(panel.R[t, j]))
                     states[j, mi] = dlm.update(prior, Freg, float(panel.R[t, j]))
-            expected = cum - logsumexp(cum, axis=1, keepdims=True)
+            expected = cum - scipy_logsumexp(cum, axis=1, keepdims=True)
             np.testing.assert_allclose(flt.asset_log_probs, expected, atol=1e-8)
         flt.close()
 
