@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dlm
-from .errors import NumericError, ParameterError, ShapeError
+from . import _batch
+from .errors import MomentError, NumericError, ParameterError, ShapeError
 from .portfolio import WeightVector
-from .selection import ModelSpec
 
 
 def ewma_cov(prev_cov: np.ndarray, y: np.ndarray, decay: float) -> np.ndarray:
@@ -167,29 +166,39 @@ def wishart_dlm_step(state: WishartDLMState, y: np.ndarray
 
 class FactorWishartDLM:
     """Factor-augmented variant: one local-level model on the factor block and
-    per-asset regression filters on the factors, recoupled each period."""
+    per-asset regression filters on the factors, recoupled each period.
+
+    The asset filters are one ``PoolGroup`` with every factor as a parent and
+    a single (delta, kappa) pair, so all assets advance in one set of array
+    operations; their predictive moments come from ``batched_asset_moments``
+    given the factor block's forecast.  The recursions are those of
+    ``dlm.evolve`` / ``dlm.update`` and ``recouple.asset_moments``, which
+    remain the reference in the tests.
+    """
 
     def __init__(self, n_assets: int, n_factors: int, s0_assets: np.ndarray | float = 0.1,
                  delta: float = 0.997, kappa: float = 0.99, s0_diag: float = 0.1):
         self.factor_state = initial_wishart_state(n_factors, s0_diag, delta, kappa)
-        s0 = np.broadcast_to(np.asarray(s0_assets, float), (n_assets,))
-        self.asset_states = [dlm.init_state(1 + n_factors, max(float(s), 1e-12)) for s in s0]
-        self.delta = delta
-        self.kappa = kappa
-        self.n_factors = n_factors
-        self._full_spec = ModelSpec((1 << n_factors) - 1, delta, kappa)
+        s0 = np.maximum(np.broadcast_to(np.asarray(s0_assets, float), (n_assets,)), 1e-12)
+        self.assets = _batch.PoolGroup(np.arange(n_factors), n_assets, [delta], [kappa], s0)
+        self._sel = np.zeros(n_assets, dtype=int)
 
     def step(self, y_factors: np.ndarray, y_assets: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
         """Predict the asset block for the current period, then update."""
-        from . import recouple
-
         self.factor_state, lam, sig_f = wishart_dlm_step(self.factor_state, y_factors)
-        priors = [dlm.evolve(st, self.delta, self.kappa) for st in self.asset_states]
-        moments = recouple.asset_moments(lam, sig_f, [(self._full_spec, p) for p in priors])
+        grp = self.assets
+        grp.evolve()
+        r = float(grp.r[0])
+        if r <= 2.0:
+            raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
+        mean, B, idio = _batch.batched_asset_moments([grp], self._sel, lam, sig_f, dof_floor=2.0)
+        cov = B @ sig_f @ B.T
+        cov[np.diag_indices(mean.size)] += idio
         F = np.concatenate(([1.0], np.asarray(y_factors, float)))
-        self.asset_states = [dlm.update(p, F, float(y)) for p, y in zip(priors, y_assets)]
-        return moments.asset_mean, moments.asset_cov
+        f, q = grp.forecast(F)
+        grp.update(y_assets, f, q)
+        return mean, (cov + cov.T) / 2.0
 
 
 def ew_weights(n_assets: int, date: str = "") -> WeightVector:

@@ -72,7 +72,6 @@ class RunConfig:
     threads: int = 1
     dof_floor: float = 2.05
     cov_jitter: float = 1e-8
-    ewma_window_init: bool = True
     wdlm_delta: float = 0.997
     wdlm_kappa: float = 0.99
     wdlm_s0: float = 0.1
@@ -149,11 +148,12 @@ class StatsResult:
     factors: tuple[str, ...]
 
 
-def _ols_residual_variance(y: np.ndarray, X: np.ndarray) -> float:
-    """Plain sample variance of OLS residuals, floored away from zero."""
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    return max(float(resid.var()), 1e-12)
+def _ols_residual_variance(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Plain sample variance of the OLS residuals of each column of Y on X,
+    floored away from zero; one least-squares fit for all columns."""
+    coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    resid = Y - X @ coef
+    return np.maximum(resid.var(axis=0), 1e-12)
 
 
 def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
@@ -187,6 +187,7 @@ class _DynamicFactorFilter:
         if any(i < 0 or i >= panel.n_factors for i in fs):
             raise ParameterError(f"factor_set {fs} outside the panel's {panel.n_factors} factors")
         self.factor_names = tuple(panel.factors[i] for i in fs)
+        self.all_factors = fs == tuple(range(panel.n_factors))
         self.F = panel.F[:, list(fs)]
         self.R = panel.R
         self.K = len(fs)
@@ -209,11 +210,10 @@ class _DynamicFactorFilter:
         masks = list(range(1, 1 << self.K)) if config.sparsity else [(1 << self.K) - 1]
         self.masks = masks
         Xfull = np.column_stack([np.ones(train), self.F[:train]])
-        s0_assets = np.array([_ols_residual_variance(self.R[:train, j], Xfull)
-                              for j in range(self.N)])
+        self.s0_assets = _ols_residual_variance(self.R[:train], Xfull)
         self.asset_groups = [
             PoolGroup([i for i in range(self.K) if (m >> i) & 1], self.N,
-                      deltas_r, kappas_r, s0_assets)
+                      deltas_r, kappas_r, self.s0_assets)
             for m in masks
         ]
         n_specs = len(masks) * self.P_r
@@ -230,11 +230,15 @@ class _DynamicFactorFilter:
         self.P_f = len(deltas_f)
         self.factor_groups = []
         self.factor_log_probs = []
+        s0_fits: dict[tuple[tuple[int, ...], int], float] = {}   # (parents, target) -> s0
         for jj in range(self.K):
             s0 = np.empty(self.n_ord)
             for o, perm in enumerate(perms):
-                X = np.column_stack([np.ones(train), self.F[:train][:, list(perm[:jj])]])
-                s0[o] = _ols_residual_variance(self.F[:train, perm[jj]], X)
+                key = (tuple(sorted(perm[:jj])), perm[jj])
+                if key not in s0_fits:
+                    X = np.column_stack([np.ones(train), self.F[:train, list(key[0])]])
+                    s0_fits[key] = float(_ols_residual_variance(self.F[:train, key[1]], X))
+                s0[o] = s0_fits[key]
             self.factor_groups.append(PoolGroup(list(range(jj)), self.n_ord,
                                                 deltas_f, kappas_f, s0))
             self.factor_log_probs.append(np.full((self.n_ord, self.P_f), -np.log(self.P_f)))
@@ -373,7 +377,9 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                             mu = pf.momentum_signal(flt.R, t)
                         else:
                             mu = mean
-                        weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound).w
+                        start = weights[i - 1] if i > 0 else None
+                        weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
+                                                    start).w
                 lpd_t, incl_t = flt.update_step(t, selection)
                 if evaluating:
                     i = t - train
@@ -399,17 +405,21 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         dates=panel.dates[train:],
         factors=flt.factor_names,
     )
-    return stats, weights, train
+    # the asset OLS priors, reusable by a comparison model on the same regressors
+    s0_assets = flt.s0_assets if flt.all_factors else None
+    return stats, weights, train, s0_assets
 
 
 def _solve_weights(strategy: str, mean: np.ndarray, cov: np.ndarray, tau: float,
-                   bound: float | None) -> pf.WeightVector:
+                   bound: float | None, start: np.ndarray | None = None) -> pf.WeightVector:
+    """Weights for one date; ``start`` (the previous date's weights of the same
+    row) warm-starts the box solve."""
     if strategy == "gmv":
         if bound is not None:
-            return pf.constrained_weights(cov, bound)
+            return pf.constrained_weights(cov, bound, start=start)
         return pf.gmv_weights(cov)
     if bound is not None:
-        return pf.constrained_weights(cov, bound, mean, tau)
+        return pf.constrained_weights(cov, bound, mean, tau, start=start)
     return pf.mvp_weights(mean, cov, tau)
 
 
@@ -427,11 +437,14 @@ def _jitter(cov: np.ndarray, rel: float) -> np.ndarray:
 
 
 def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
-                              train: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                              train: int, s0_assets: np.ndarray | None = None
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Benchmark loop -> (weights, lpd_series, forecast means) over evaluation dates.
 
     EFM / LW / EWMA use the momentum signal as their mean predictor; the
     local-level models predict their own means.  Densities are Gaussian.
+    ``s0_assets`` are the OLS residual variances of the assets on all factors
+    over the training window, when the model has already fitted them.
     """
     R, F = panel.R, panel.F
     N = panel.n_assets
@@ -452,9 +465,10 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
         for t in range(train):
             state, _, _ = bench.wishart_dlm_step(state, R[t])
     elif name == "factor-wdlm":
-        Xfull = np.column_stack([np.ones(train), F[:train]])
-        s0 = np.array([_ols_residual_variance(R[:train, j], Xfull) for j in range(N)])
-        state = bench.FactorWishartDLM(N, panel.n_factors, s0, config.wdlm_delta,
+        if s0_assets is None:
+            s0_assets = _ols_residual_variance(R[:train],
+                                               np.column_stack([np.ones(train), F[:train]]))
+        state = bench.FactorWishartDLM(N, panel.n_factors, s0_assets, config.wdlm_delta,
                                        config.wdlm_kappa, config.wdlm_s0)
         for t in range(train):
             state.step(F[t], R[t])
@@ -479,7 +493,8 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
         else:
             raise ParameterError(f"unknown benchmark {name!r}")
         cov = _jitter(cov, config.cov_jitter)
-        weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound).w
+        weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
+                                    weights[i - 1] if i > 0 else None).w
         lpd[i] = _gaussian_lpd(R[t], mu, cov)
         means[i] = mu
         if name in ("ewma97", "ewma99"):
@@ -503,7 +518,7 @@ def _build_row(name: str, weights: np.ndarray, realized: np.ndarray, config: Run
 
 def run_backtest(panel: ReturnPanel, config: RunConfig) -> BacktestReport:
     """Full backtest of the dynamic factor model plus configured benchmarks."""
-    stats, weights, train = _run_model(panel, config, collect_weights=True)
+    stats, weights, train, s0_assets = _run_model(panel, config, collect_weights=True)
     realized = panel.R[train:]
     rows = [_build_row(MODEL_NAME, weights, realized, config, stats.lpd, stats.acc)]
     for name in config.benchmarks:
@@ -512,7 +527,7 @@ def run_backtest(panel: ReturnPanel, config: RunConfig) -> BacktestReport:
                                 realized.shape).copy()
             rows.append(_build_row("ew", w, realized, config, None, None))
             continue
-        bw, blpd, bmeans = _run_covariance_benchmark(name, panel, config, train)
+        bw, blpd, bmeans = _run_covariance_benchmark(name, panel, config, train, s0_assets)
         acc = pf.hit_rate(bmeans, realized)
         rows.append(_build_row(name, bw, realized, config, float(blpd.sum()), acc))
 
@@ -533,5 +548,5 @@ def run_backtest(panel: ReturnPanel, config: RunConfig) -> BacktestReport:
 
 def run_statistics_only(panel: ReturnPanel, config: RunConfig) -> StatsResult:
     """Forecast-accuracy run: LPD and hit rate without portfolio construction."""
-    stats, _, _ = _run_model(panel, config, collect_weights=False)
+    stats, *_ = _run_model(panel, config, collect_weights=False)
     return stats

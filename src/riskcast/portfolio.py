@@ -119,46 +119,71 @@ def gmv_weights(cov: np.ndarray, date: str = "") -> WeightVector:
     return WeightVector(si_one / si_one.sum(), date)
 
 
-def _box_extremes(mean: np.ndarray, bound: float) -> tuple[float, float]:
-    """Attainable range of mu'w over {w : 1'w = 1, |w_i| <= bound}.
+def _box_extreme_points(mean: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights minimizing and maximizing mu'w over {w : 1'w = 1, |w_i| <= bound}.
 
-    Greedy fractional assignment: saturate the bound in order of the mean,
-    leaving one fractional coordinate to meet the budget.
+    Greedy fractional assignment: every weight starts at -bound, and the
+    1 + n*bound of budget left is handed out in order of the mean, up to
+    2*bound per weight, so one weight at most ends between the bounds.
     """
     n = mean.size
-    lo_w = np.full(n, -bound)
-    budget = 1.0 - lo_w.sum()          # mass to distribute, each coord takes <= 2*bound
+    steps = np.clip(1.0 + n * bound - 2.0 * bound * np.arange(n), 0.0, 2.0 * bound)
     order = np.argsort(-mean, kind="stable")
-    w = lo_w.copy()
-    remaining = budget
-    for i in order:
-        step = min(2.0 * bound, remaining)
-        w[i] += step
-        remaining -= step
-        if remaining <= 0:
-            break
-    hi = float(mean @ w)
-    w = lo_w.copy()
-    remaining = budget
-    for i in order[::-1]:
-        step = min(2.0 * bound, remaining)
-        w[i] += step
-        remaining -= step
-        if remaining <= 0:
-            break
-    lo = float(mean @ w)
-    return lo, hi
+    w_hi = np.full(n, -bound)
+    w_hi[order] += steps
+    w_lo = np.full(n, -bound)
+    w_lo[order[::-1]] += steps
+    return w_lo, w_hi
+
+
+def _feasible_start(bound: float, start: np.ndarray | None, n: int,
+                    mean: np.ndarray | None = None, target: float | None = None,
+                    extremes: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """A point meeting the budget, the box and the return target.
+
+    The given start, or equal weights, moved toward the extreme point
+    (``extremes``, from ``_box_extreme_points``) on the side of the target
+    until the target is met; both ends are feasible, and so is every point
+    between them.
+    """
+    if start is None:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.array(start, float)
+        if w.shape != (n,):
+            raise ShapeError(f"start has shape {w.shape}, expected ({n},)")
+        if (not np.all(np.isfinite(w)) or abs(w.sum() - 1.0) > BUDGET_TOL
+                or np.abs(w).max() > bound + BUDGET_TOL):
+            raise ParameterError("start must meet the budget and the box")
+    if target is not None:
+        w_lo, w_hi = extremes
+        gap = target - float(mean @ w)
+        end = w_hi if gap > 0 else w_lo
+        span = float(mean @ end) - float(mean @ w)
+        if span != 0.0:
+            w += min(max(gap / span, 0.0), 1.0) * (end - w)
+    return np.clip(w, -bound, bound)
 
 
 def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None = None,
                         target: float | None = None, date: str = "",
-                        max_iter: int | None = None) -> WeightVector:
+                        start: np.ndarray | None = None) -> WeightVector:
     """Minimum-variance weights under a symmetric box |w_i| <= bound.
 
     Solves min w'Sigma w subject to 1'w = 1, optionally mu'w = target, and the
-    box, by an active-set iteration on the KKT system.  Bounds are added in
-    index order when violated and dropped when their multiplier has the wrong
-    sign, so the path is deterministic.
+    box, by a primal active-set method.  The iterate stays feasible: it starts
+    at ``start`` (typically the previous date's weights) or at equal weights,
+    moved toward a box vertex when a return target must be met.  Each
+    iteration holds the working set of bounds fixed and solves the bordered
+    KKT system of the free weights for the minimizer on that face.  If a free
+    weight would leave the box on the way, the step stops at the first bound
+    it meets (the ratio test) and that bound joins the working set.  Otherwise
+    the minimizer is taken, and the bound whose multiplier is most
+    wrong-signed, beyond ``KKT_TOL``, leaves the working set; when none is,
+    the minimizer is optimal.  A blocking bound's weight moved along a
+    direction that every working constraint holds fixed, so its row is never
+    a combination of theirs: the working set stays linearly independent and
+    the KKT system nonsingular.
     """
     cov = np.asarray(cov, float)
     n = cov.shape[0]
@@ -167,58 +192,74 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
     if bound * n < 1.0 - BUDGET_TOL:
         raise InfeasibleError(
             f"budget infeasible: n*bound = {n * bound:.6g} < 1 (all {n} weights at +{bound})")
-    eq_rows = [np.ones(n)]
-    eq_vals = [1.0]
+    E = np.ones((1, n))
+    vals = np.ones(1)
+    extremes = None
     if target is not None:
         if mean is None:
             raise ParameterError("a return target requires a mean vector")
         mean = np.asarray(mean, float)
-        lo, hi = _box_extremes(mean, bound)
+        extremes = _box_extreme_points(mean, bound)
+        lo, hi = (float(mean @ x) for x in extremes)
         if not lo - 1e-12 <= target <= hi + 1e-12:
             raise InfeasibleError(
                 f"return target {target:.6g} outside the attainable range "
                 f"[{lo:.6g}, {hi:.6g}] under the box; binding set: every weight at +/-{bound}")
-        eq_rows.append(mean)
-        eq_vals.append(float(target))
+        if np.all(mean == mean[0]):
+            raise DegeneracyError("mean vector is collinear with the budget direction")
+        E = np.vstack([E, mean])
+        vals = np.array([1.0, float(target)])
+    if bound * n <= 1.0:
+        # equal weights are the only point in the box that meets the budget
+        return WeightVector(np.full(n, 1.0 / n), date)
 
-    active: dict[int, float] = {}      # index -> fixed sign (+1 upper, -1 lower)
-    if max_iter is None:
-        max_iter = 4 * n + 16
-    for _ in range(max_iter):
-        rows = eq_rows + [np.eye(n)[i] for i in sorted(active)]
-        vals = eq_vals + [active[i] * bound for i in sorted(active)]
-        E = np.vstack(rows)
-        m = E.shape[0]
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = 2.0 * cov
-        kkt[:n, n:] = E.T
-        kkt[n:, :n] = E
-        rhs = np.concatenate([np.zeros(n), vals])
+    w = _feasible_start(bound, start, n, mean, target, extremes)
+    fixed = np.abs(w) >= bound * (1.0 - 1e-12)
+    w[fixed] = np.copysign(bound, w[fixed])
+    # the free weights must leave the equality rows independent
+    for i in np.flatnonzero(fixed)[::-1]:
+        free = ~fixed
+        if free.any() and (target is None or np.ptp(mean[free]) > 0):
+            break
+        fixed[i] = False
+
+    m = E.shape[0]
+    for _ in range(4 * n + 16):
+        F = np.flatnonzero(~fixed)
+        B = np.flatnonzero(fixed)
+        k = F.size
+        kkt = np.zeros((k + m, k + m))
+        kkt[:k, :k] = 2.0 * cov[np.ix_(F, F)]
+        kkt[:k, k:] = E[:, F].T
+        kkt[k:, :k] = E[:, F]
+        rhs = np.concatenate([-2.0 * cov[np.ix_(F, B)] @ w[B], vals - E[:, B] @ w[B]])
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             raise NumericError("singular KKT system in the active-set solve") from None
-        w = sol[:n]
-        mult = sol[n + len(eq_rows):]
-        # add the lowest-index violated bound
-        viol = np.flatnonzero(np.abs(w) > bound + 1e-12)
-        viol = [i for i in viol if i not in active]
-        if viol:
-            i = int(viol[0])
-            active[i] = 1.0 if w[i] > 0 else -1.0
-            continue
-        # drop the lowest-index active bound with a wrong-sign multiplier
-        dropped = False
-        for pos, i in enumerate(sorted(active)):
-            if active[i] * mult[pos] < -KKT_TOL:
-                del active[i]
-                dropped = True
-                break
-        if not dropped:
-            residual = E @ w - np.asarray(vals)
-            if np.max(np.abs(residual)) > 1e-10:
+        if k > m:
+            w_face = sol[:k]
+            outside = np.abs(w_face) > bound + 1e-12
+            if outside.any():
+                # ratio test: stop at the first bound a free weight meets
+                p = w_face - w[F]
+                edge = np.copysign(bound, p)
+                steps = np.full(k, np.inf)
+                steps[outside] = (edge[outside] - w[F][outside]) / p[outside]
+                j = int(np.argmin(steps))
+                w[F] += steps[j] * p
+                w[F[j]] = edge[j]
+                fixed[F[j]] = True
+                continue
+            w[F] = np.clip(w_face, -bound, bound)
+        # With k == m the face is the one point w, and the solve gives only its
+        # multipliers.  Those of the bounds, signed so that >= 0 is right:
+        mult = -(2.0 * cov[B] @ w + E[:, B].T @ sol[k:]) * np.sign(w[B])
+        if B.size == 0 or mult.min() >= -KKT_TOL:
+            if np.max(np.abs(E @ w - vals)) > 1e-10:
                 raise NumericError("active-set solution violates equality constraints")
             return WeightVector(w, date)
+        fixed[B[int(np.argmin(mult))]] = False
     raise NumericError("active-set iteration did not converge")
 
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from riskcast import dlm
+from riskcast import dlm, recouple
 from riskcast.benchmarks import (FactorWishartDLM, WishartDLMState, efm_cov,
                                  ew_weights, ewma_cov, initial_wishart_state,
                                  lw_shrinkage, wishart_dlm_step)
-from riskcast.errors import NumericError, ParameterError
+from riskcast.errors import MomentError, NumericError, ParameterError
+from riskcast.selection import ModelSpec
 
 
 class TestEWMA:
@@ -195,6 +196,37 @@ class TestFactorWishartDLM:
         assert np.linalg.eigvalsh(cov1).min() > 0
         # first prediction comes from the zero-centered prior
         np.testing.assert_allclose(mean1, 0.0, atol=1e-12)
+
+    def test_matches_scalar_filters_and_recoupling(self):
+        # the reference: one scalar dlm filter per asset, recoupled by
+        # recouple.asset_moments, next to the same Wishart factor block
+        rng = np.random.default_rng(9)
+        N, K, delta, kappa = 7, 3, 0.98, 0.97
+        s0 = rng.uniform(0.5, 2.0, N) * 1e-4
+        yF = rng.normal(scale=0.02, size=(60, K))
+        yR = yF @ rng.normal(size=(K, N)) + rng.normal(scale=0.01, size=(60, N))
+        model = FactorWishartDLM(N, K, s0, delta, kappa, s0_diag=4e-4)
+        fstate = initial_wishart_state(K, 4e-4, delta, kappa)
+        states = [dlm.init_state(1 + K, float(s)) for s in s0]
+        spec = ModelSpec((1 << K) - 1, delta, kappa)
+        for t in range(60):
+            mean, cov = model.step(yF[t], yR[t])
+            fstate, lam, sig = wishart_dlm_step(fstate, yF[t])
+            priors = [dlm.evolve(st, delta, kappa) for st in states]
+            ref = recouple.asset_moments(lam, sig, [(spec, p) for p in priors])
+            F = np.concatenate(([1.0], yF[t]))
+            states = [dlm.update(p, F, float(y)) for p, y in zip(priors, yR[t])]
+            for got, want in ((mean, ref.asset_mean), (cov, ref.asset_cov)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), t
+
+    def test_low_dof_raises_like_the_scalar_stack(self):
+        # r = kappa * n = 0.1 * 10 leaves no predictive variance
+        model = FactorWishartDLM(n_assets=2, n_factors=1, kappa=0.1)
+        with pytest.raises(MomentError, match="dof > 2"):
+            model.step(np.zeros(1), np.zeros(2))
+        prior = dlm.evolve(dlm.init_state(2, 0.1), 0.997, 0.1)
+        with pytest.raises(MomentError, match="dof > 2"):
+            recouple.asset_moments(np.zeros(1), np.eye(1), [(ModelSpec(1, 0.997, 0.1), prior)])
 
 
 class TestEW:

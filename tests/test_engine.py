@@ -304,6 +304,56 @@ class TestEngineInvariants:
             run_backtest(panel, cfg)
 
 
+def twelve_asset_panel(seed):
+    """12 assets on 2 factors, 72 dates of which 56 train: small panels on
+    which box solves of the comparison models often bind many weights."""
+    rng = np.random.default_rng(500 + seed)
+    N, K = 12, 2
+    B = rng.normal(0.0, 0.6, size=(N, K))
+    B[:, 0] = rng.uniform(0.6, 1.4, N)
+    vol = np.array([0.02, 0.01])
+    spec = SyntheticSpec(N=N, K=K, T=72, loadings=B,
+                         factor_cov=(0.7 * np.eye(K) + 0.3) * np.outer(vol, vol),
+                         idio_var=rng.uniform(0.015, 0.035, N) ** 2, seed=seed, train_len=56)
+    return generate_synthetic(spec)[0]
+
+
+class TestBoxSolves:
+    """Backtests whose box solves made the former active-set rule (add the
+    lowest-index violated bound, no ratio test) build a singular KKT system."""
+
+    def test_model_box_gmv_on_regime_panel(self):
+        from test_acceptance import _time_varying_sparse_panel
+        panel = _time_varying_sparse_panel(1)
+        report = run_backtest(panel, RunConfig(strategy="gmv", max_weight=0.05,
+                                               ordering="fixed", tc_bps=(0.0,)))
+        assert np.all(np.isfinite(report.rows[0].gross))
+
+    @pytest.mark.parametrize("box", [0.15, 0.2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factor_wdlm_box_gmv(self, seed, box):
+        cfg = RunConfig(strategy="gmv", max_weight=box, ordering="fixed", tc_bps=(0.0,),
+                        benchmarks=("factor-wdlm",), fee_reference="none")
+        report = run_backtest(twelve_asset_panel(seed), cfg)
+        assert [r.name for r in report.rows] == [MODEL_NAME, "factor-wdlm"]
+        assert all(np.all(np.isfinite(r.gross)) for r in report.rows)
+
+    def test_warm_start_matches_cold_start(self, monkeypatch):
+        cfg = RunConfig(strategy="gmv", max_weight=0.15, ordering="fixed", tc_bps=(0.0,),
+                        benchmarks=("efm", "lw", "ewma99", "wdlm", "factor-wdlm"),
+                        fee_reference="none")
+        panel = twelve_asset_panel(0)
+        warm = run_backtest(panel, cfg)
+        cold_solve = pf.constrained_weights
+        monkeypatch.setattr(pf, "constrained_weights",
+                            lambda *args, start=None, **kwargs: cold_solve(*args, **kwargs))
+        cold = run_backtest(panel, cfg)
+        for a, b in zip(warm.rows, cold.rows):
+            np.testing.assert_allclose(a.gross, b.gross, rtol=0, atol=1e-12, err_msg=a.name)
+            np.testing.assert_allclose(a.turnover, b.turnover, rtol=0, atol=1e-12,
+                                       err_msg=a.name)
+
+
 class TestEngineBehaviors:
     def test_perfect_foresight_accuracy_limit(self):
         # noise-free loadings on one factor: signs become predictable as the
@@ -335,6 +385,28 @@ class TestEngineBehaviors:
         cfg = RunConfig(strategy="mvp", mean_signal="momentum", tc_bps=(5.0,))
         report = run_backtest(panel, cfg)
         assert report.rows[0].gross.shape == (100,)
+
+    def test_factor_priors_fit_each_parent_set_once(self, monkeypatch):
+        panel = small_panel(seed=3, N=5, K=4, T=60, train=30)
+        lstsq = np.linalg.lstsq
+        calls = []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
+        monkeypatch.undo()
+        # one fit for all assets, one per (parent set, target): K 2^(K-1)
+        assert len(calls) == 1 + 4 * 2 ** 3
+        train = panel.train_len
+        for jj, grp in enumerate(flt.factor_groups):
+            for o, perm in enumerate(flt.perms):
+                X = np.column_stack([np.ones(train), panel.F[:train, list(perm[:jj])]])
+                y = panel.F[:train, perm[jj]]
+                coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+                assert grp.s[o, 0] == pytest.approx((y - X @ coef).var(), rel=1e-12)
+        X = np.column_stack([np.ones(train), panel.F[:train]])
+        for j in range(panel.n_assets):
+            coef, *_ = np.linalg.lstsq(X, panel.R[:train, j], rcond=None)
+            resid = panel.R[:train, j] - X @ coef
+            assert flt.asset_groups[0].s[j, 0] == pytest.approx(resid.var(), rel=1e-12)
 
     def test_report_header_records_conventions(self):
         panel = small_panel(seed=15)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from riskcast import portfolio as pf
 from riskcast.errors import (DegeneracyError, InfeasibleError, NumericError,
                              ParameterError, WindowError)
-from riskcast.portfolio import (apply_costs, constrained_weights, gmv_weights,
+from riskcast.portfolio import (KKT_TOL, apply_costs, constrained_weights, gmv_weights,
                                 hit_rate, management_fee, momentum_signal,
                                 mvp_weights, performance)
 
@@ -136,6 +138,96 @@ class TestConstrained:
                 rand_obj = np.einsum("ki,ij,kj->k", v, cov, v)
                 assert np.all(obj <= rand_obj + 1e-12)
                 count += v.shape[0]
+
+    def test_case_that_made_the_index_order_rule_singular(self):
+        # The unconstrained weights break the box on all three assets, and
+        # adding violated bounds in index order fixed every weight, with the
+        # budget row, into a singular KKT system.  On the face w_2 = 0.5 the
+        # variance is 1.5^2 + 0.1 w_0^2 + w_1^2 + 0.025 with w_0 + w_1 = 0.5,
+        # so w_0 = 10 w_1 = 5/11.
+        cov = np.outer([2.0, 2.0, 1.0], [2.0, 2.0, 1.0]) + np.diag([0.1, 1.0, 0.1])
+        w = constrained_weights(cov, 0.5).w
+        np.testing.assert_allclose(w, [5 / 11, 1 / 22, 0.5], atol=1e-12)
+
+    def test_constant_mean_with_target_degenerates(self):
+        with pytest.raises(DegeneracyError, match="collinear"):
+            constrained_weights(np.eye(3), 0.5, np.full(3, 0.2), 0.2)
+
+    def test_start_is_validated(self):
+        cov = np.eye(3)
+        with pytest.raises(ParameterError, match="budget and the box"):
+            constrained_weights(cov, 0.5, start=np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(ParameterError, match="budget and the box"):
+            constrained_weights(cov, 0.5, start=np.array([0.8, 0.1, 0.1]))
+
+
+def box_kkt_holds(cov, bound, w, E):
+    """Independent KKT test of a box solve: some multipliers nu of the rows
+    of E make 2 cov w + E'nu vanish on the free weights (to rounding) and
+    carry the right sign, within KKT_TOL, on the bound ones.  Found by a
+    linear feasibility problem, so degenerate points are judged fairly."""
+    g = 2.0 * cov @ w
+    upper = w >= bound * (1 - 1e-12)
+    lower = w <= -bound * (1 - 1e-12)
+    free = ~(upper | lower)
+    tol = 1e-9 * np.abs(2.0 * cov).max()
+    A = np.vstack([E[:, free].T, -E[:, free].T, E[:, upper].T, -E[:, lower].T])
+    b = np.concatenate([tol - g[free], tol + g[free], KKT_TOL - g[upper], KKT_TOL + g[lower]])
+    res = linprog(np.zeros(E.shape[0]), A_ub=A, b_ub=b, bounds=[(None, None)] * E.shape[0])
+    return res.status == 0
+
+
+@st.composite
+def box_problems(draw):
+    """A factor-like covariance (so bounds bind), a box from 1/n to 1, and
+    optionally a return target anywhere in the attainable range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    B = rng.normal(size=(n, 2))
+    cov = B @ B.T + np.diag(rng.uniform(0.05, 1.0, n))
+    bound = (1.0 + draw(st.floats(0.0, 1.0)) * (n - 1)) / n
+    mean = target = None
+    if draw(st.booleans()):
+        mean = rng.normal(size=n)
+        lo, hi = (float(mean @ x) for x in pf._box_extreme_points(mean, bound))
+        target = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return rng, cov, bound, mean, target
+
+
+class TestConstrainedProperties:
+    @given(box_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_cold_and_warm_starts_meet_kkt_and_agree(self, problem):
+        rng, cov, bound, mean, target = problem
+        n = cov.shape[0]
+        E = np.ones((1, n)) if target is None else np.vstack([np.ones(n), mean])
+        cold = constrained_weights(cov, bound, mean, target).w
+        # starts: the solve of a nearby covariance, as on the previous date,
+        # and a box vertex, where every weight but one sits at a bound
+        nearby = cov + np.diag(rng.uniform(0.0, 0.2, n))
+        starts = [constrained_weights(nearby, bound).w,
+                  pf._box_extreme_points(rng.normal(size=n), bound)[1]]
+        for w in [cold] + [constrained_weights(cov, bound, mean, target, start=s).w
+                           for s in starts]:
+            assert abs(w.sum() - 1.0) <= 1e-10
+            assert np.abs(w).max() <= bound + 1e-12
+            if target is not None:
+                assert abs(mean @ w - target) <= 1e-10 * (1 + np.abs(mean).max())
+            assert box_kkt_holds(cov, bound, w, E)
+            np.testing.assert_allclose(w, cold, rtol=0, atol=1e-9)
+
+    @given(box_problems(), st.booleans(), st.floats(1e-6, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_unattainable_target_raises(self, problem, above, excess):
+        rng, cov, bound, _, _ = problem
+        n = cov.shape[0]
+        mean = rng.normal(size=n)
+        lo, hi = (float(mean @ x) for x in pf._box_extreme_points(mean, bound))
+        target = hi + excess if above else lo - excess
+        with pytest.raises(InfeasibleError, match="attainable range"):
+            constrained_weights(cov, bound, mean, target)
+        with pytest.raises(InfeasibleError, match="attainable range"):
+            constrained_weights(cov, bound, mean, target, start=np.full(n, 1.0 / n))
 
 
 class TestApplyCosts:
