@@ -20,6 +20,9 @@ from scipy.special import gammaln
 
 from .errors import NumericError
 
+# floor on predictive dof in r/(r-2), so a deep volatility discount cannot abort a run
+DOF_FLOOR = 2.05
+
 
 def t_logpdf_grid(y, f, q, dof, log_norm=None):
     """Student-t log density on broadcastable arrays.
@@ -142,13 +145,13 @@ class PoolGroup:
 
 
 def recursive_factor_moments(perms: np.ndarray, a_sel, R_sel, r_sel, s_sel,
-                             dof_floor: float = 2.05
+                             dof_floor: float = DOF_FLOOR
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Factor moments for every ordering at once, in canonical coordinates.
 
     ``a_sel[j]`` etc. hold the selected prior of position j across orderings:
     a (o, j+1), R (o, j+1, j+1), r (o,), s (o,).  Degrees of freedom are
-    floored at ``dof_floor`` so a deep discount cannot abort a long run.
+    floored at ``dof_floor``.
     """
     n_ord, K = perms.shape
     mean = np.zeros((n_ord, K))
@@ -185,7 +188,7 @@ def recursive_factor_moments(perms: np.ndarray, a_sel, R_sel, r_sel, s_sel,
 
 
 def batched_asset_moments(groups, sel_flat: np.ndarray, lam: np.ndarray,
-                          sig: np.ndarray, dof_floor: float = 2.05):
+                          sig: np.ndarray, dof_floor: float = DOF_FLOOR):
     """Mean vector, loading matrix and idiosyncratic variances of all assets.
 
     ``sel_flat[j]`` is the flattened (group, member) spec index selected for

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import _batch
 from .errors import MomentError, NumericError, ParameterError, ShapeError
-from .portfolio import WeightVector
 
 
 def ewma_cov(prev_cov: np.ndarray, y: np.ndarray, decay: float) -> np.ndarray:
@@ -199,10 +198,3 @@ class FactorWishartDLM:
         f, q = grp.forecast(F)
         grp.update(y_assets, f, q)
         return mean, (cov + cov.T) / 2.0
-
-
-def ew_weights(n_assets: int, date: str = "") -> WeightVector:
-    """Equal weights across the universe."""
-    if n_assets < 1:
-        raise ParameterError("need at least one asset")
-    return WeightVector(np.full(n_assets, 1.0 / n_assets), date)

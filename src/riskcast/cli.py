@@ -34,7 +34,7 @@ CONFIG_KEYS = {
     "assets": str, "factors": str, "out": str, "strategy": str, "ordering": str,
     "mean_signal": str, "fee_reference": str, "inclusion_out": str, "ordering_out": str,
     "tau": float, "bound": float, "alpha": float, "alpha_ord": float,
-    "train_len": int, "threads": int, "seed": int,
+    "train_len": int, "threads": int,
     "tc": list, "gamma": list, "factor_set": list, "benchmarks": list,
     "delta_grid": list, "kappa_r_grid": list, "kappa_f_grid": list,
     "sparsity": bool,
@@ -86,7 +86,6 @@ def _build_parser() -> _Parser:
     shared.add_argument("--factor-set", type=int, nargs="+", dest="factor_set",
                         help="factor column indices to use")
     shared.add_argument("--threads", type=int)
-    shared.add_argument("--seed", type=int)
     shared.add_argument("--train-len", type=int, dest="train_len")
     shared.add_argument("--benchmarks", nargs="+",
                         help="any of: efm lw ewma97 ewma99 wdlm factor-wdlm ew")
@@ -114,7 +113,7 @@ def _merge_config(args) -> dict:
     path = args.config or os.environ.get("RISKCAST_CONFIG")
     cfg = read_config(path) if path else {}
     for key in ("assets", "factors", "strategy", "tau", "bound", "tc", "gamma",
-                "alpha", "ordering", "factor_set", "threads", "seed", "train_len",
+                "alpha", "ordering", "factor_set", "threads", "train_len",
                 "benchmarks", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -126,7 +125,7 @@ def _run_config(cfg: dict) -> RunConfig:
     kwargs = {}
     mapping = {
         "strategy": "strategy", "ordering": "ordering", "alpha": "alpha",
-        "alpha_ord": "alpha_ord", "threads": "threads", "seed": "seed",
+        "alpha_ord": "alpha_ord", "threads": "threads",
         "train_len": "train_len", "mean_signal": "mean_signal",
         "fee_reference": "fee_reference", "sparsity": "sparsity",
     }

@@ -10,7 +10,7 @@ excess returns, the caller must supply excess returns.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class ReturnPanel:
     @property
     def n_factors(self) -> int:
         return len(self.factors)
-
-    def with_train_len(self, train_len: int) -> "ReturnPanel":
-        return replace(self, train_len=train_len)
 
 
 def _read_csv(path) -> tuple[list[str], dict[str, list[float]]]:

@@ -5,6 +5,11 @@ contemporaneous regressors.  State evolution is discount-based: the
 coefficient scale is inflated by 1/delta and the volatility degrees of
 freedom deflated by kappa between observations.  With delta = kappa = 1 the
 filter is exactly batch conjugate Bayesian regression.
+
+The engine runs none of this module: ``_batch.PoolGroup`` carries the same
+recursions for whole pools at once.  The scalar kernel is kept as the
+reference that the tests hold ``PoolGroup`` against, and the benchmark's
+tracer hooks ``evolve`` and ``update`` by name.
 """
 
 from __future__ import annotations

@@ -22,10 +22,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import benchmarks as bench
 from . import portfolio as pf
-from ._batch import PoolGroup, batched_asset_moments, recursive_factor_moments
+from ._batch import DOF_FLOOR, PoolGroup, batched_asset_moments, recursive_factor_moments
 from .data import ReturnPanel
 from .errors import ParameterError, RiskcastError, WindowError
-from .ordering import ORDERING_CAP, enumerate_orderings
+from .ordering import ORDERING_CAP, enumerate_orderings, mixture_factor_moments
 from .portfolio import BacktestReport, ModelRow, TCResult
 
 MODEL_NAME = "dfs-dlm"
@@ -43,6 +43,10 @@ MODEL_NAME = "dfs-dlm"
 DEFAULT_DELTA_GRID = (0.95, 0.975, 1.0)
 DEFAULT_KAPPA_R_GRID = (0.99, 0.995, 1.0)
 DEFAULT_KAPPA_F_GRID = (0.999, 1.0)
+
+# Relative diagonal jitter added to each comparison model's covariance
+# before its weight solve and Gaussian LPD.
+COV_JITTER = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,7 @@ class RunConfig:
     fee_reference: str = "wdlm"
     train_len: int | None = None
     periods_per_year: int = 52
-    seed: int = 0
     threads: int = 1
-    dof_floor: float = 2.05
-    cov_jitter: float = 1e-8
-    wdlm_delta: float = 0.997
-    wdlm_kappa: float = 0.99
-    wdlm_s0: float = 0.1
 
     def __post_init__(self):
         if not self.delta_grid or not self.kappa_r_grid or not self.kappa_f_grid:
@@ -126,7 +124,6 @@ class RunConfig:
             "tc_bps": list(self.tc_bps),
             "gamma": list(self.gamma),
             "periods_per_year": self.periods_per_year,
-            "seed": self.seed,
             "threads": self.threads,
         }
 
@@ -184,8 +181,8 @@ class _DynamicFactorFilter:
             raise ParameterError(f"train_len must lie in (0, {panel.T}), got {train}")
         self.train_len = train
         fs = tuple(config.factor_set) if config.factor_set is not None else tuple(range(panel.n_factors))
-        if any(i < 0 or i >= panel.n_factors for i in fs):
-            raise ParameterError(f"factor_set {fs} outside the panel's {panel.n_factors} factors")
+        if not fs or any(i < 0 or i >= panel.n_factors for i in fs):
+            raise ParameterError(f"factor_set {fs} empty or outside the panel's {panel.n_factors} factors")
         self.factor_names = tuple(panel.factors[i] for i in fs)
         self.all_factors = fs == tuple(range(panel.n_factors))
         self.F = panel.F[:, list(fs)]
@@ -278,23 +275,16 @@ class _DynamicFactorFilter:
             lp_pred_f.append(lp_pred)
             priors.append(self.factor_groups[jj].selected(rows, sel))
         a_sel, R_sel, r_sel, s_sel = zip(*priors)
-        lam_o, sig_o = recursive_factor_moments(self.perms, a_sel, R_sel, r_sel, s_sel,
-                                                cfg.dof_floor)
-        if np.any(np.concatenate([np.atleast_1d(r) for r in r_sel]) <= cfg.dof_floor):
+        lam_o, sig_o = recursive_factor_moments(self.perms, a_sel, R_sel, r_sel, s_sel)
+        if np.any(np.concatenate([np.atleast_1d(r) for r in r_sel]) <= DOF_FLOOR):
             warnings.warn("factor equation degrees of freedom at the floor", RuntimeWarning)
-        lp_ord_pred = self.ordering_log_probs * cfg.alpha_ord
-        lp_ord_pred -= logsumexp(lp_ord_pred)
-        p_ord = np.exp(lp_ord_pred)
-        lam = p_ord @ lam_o
-        second = np.einsum("o,oij->ij", p_ord, sig_o) + np.einsum("o,oi,oj->ij", p_ord, lam_o, lam_o)
-        sig = second - np.outer(lam, lam)
-        sig = (sig + sig.T) / 2.0
+        lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
+        lam, sig = mixture_factor_moments(lp_ord_pred, lam_o, sig_o)
 
         # asset block: select per asset on predicted probabilities
         lp_pred_assets = _normalize_rows(cfg.alpha * self.asset_log_probs)
         sel_assets = np.argmax(lp_pred_assets, axis=1)
-        mean, B, idio = batched_asset_moments(self.asset_groups, sel_assets, lam, sig,
-                                              cfg.dof_floor)
+        mean, B, idio = batched_asset_moments(self.asset_groups, sel_assets, lam, sig)
         selection = (sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f)
         return mean, B, idio, lam, sig, selection
 
@@ -323,8 +313,7 @@ class _DynamicFactorFilter:
             joint += dens[rows, sel_f[jj]]
             self.factor_log_probs[jj] = _normalize_rows(lp_pred_f[jj] + dens)
             grp.update(y, f, q)
-        self.ordering_log_probs = lp_ord_pred + joint
-        self.ordering_log_probs -= logsumexp(self.ordering_log_probs)
+        self.ordering_log_probs = _normalize_rows(lp_ord_pred + joint)
 
         # asset pools
         def advance(item):
@@ -431,11 +420,6 @@ def _gaussian_lpd(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
                  - 0.5 * e @ z)
 
 
-def _jitter(cov: np.ndarray, rel: float) -> np.ndarray:
-    n = cov.shape[0]
-    return cov + (rel * np.trace(cov) / n) * np.eye(n)
-
-
 def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
                               train: int, s0_assets: np.ndarray | None = None
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,16 +444,14 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
 
     state = None
     if name == "wdlm":
-        state = bench.initial_wishart_state(N, config.wdlm_s0, config.wdlm_delta,
-                                            config.wdlm_kappa)
+        state = bench.initial_wishart_state(N)
         for t in range(train):
             state, _, _ = bench.wishart_dlm_step(state, R[t])
     elif name == "factor-wdlm":
         if s0_assets is None:
             s0_assets = _ols_residual_variance(R[:train],
                                                np.column_stack([np.ones(train), F[:train]]))
-        state = bench.FactorWishartDLM(N, panel.n_factors, s0_assets, config.wdlm_delta,
-                                       config.wdlm_kappa, config.wdlm_s0)
+        state = bench.FactorWishartDLM(N, panel.n_factors, s0_assets)
         for t in range(train):
             state.step(F[t], R[t])
     elif name in ("ewma97", "ewma99"):
@@ -492,7 +474,7 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
             mu, cov = state.step(F[t], R[t])
         else:
             raise ParameterError(f"unknown benchmark {name!r}")
-        cov = _jitter(cov, config.cov_jitter)
+        cov = cov + (COV_JITTER * np.trace(cov) / N) * np.eye(N)
         weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
                                     weights[i - 1] if i > 0 else None).w
         lpd[i] = _gaussian_lpd(R[t], mu, cov)

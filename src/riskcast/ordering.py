@@ -3,33 +3,26 @@
 The triangular dependency structure makes factor forecasts depend on the
 order in which the factors enter the system.  All K! orderings of the factor
 block are filtered side by side; ordering probabilities follow the same
-forget-then-Bayes recursion as model probabilities, and factor predictive
-moments are averaged across orderings (law of total mean and variance)
-rather than selected.
+forget-then-Bayes recursion as model probabilities (the engine runs both on
+one normalizer), and factor predictive moments are averaged across orderings
+(law of total mean and variance) rather than selected.
+
+The engine runs ``enumerate_orderings`` and ``mixture_factor_moments``.
+It does not run ``to_canonical``: that is part of the scalar
+``recouple.factor_moments``, which the tests keep as the reference for the
+batched factor moments.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import CapacityError, NumericError, ShapeError
-from .selection import EquationPool
+from .errors import CapacityError, ShapeError
 
 ORDERING_CAP = 6
-
-
-@dataclass
-class OrderingState:
-    """One factor ordering: permutation, its per-position pools, log probability."""
-
-    perm: tuple[int, ...]
-    factor_pools: list[EquationPool]
-    log_prob: float
 
 
 def enumerate_orderings(n_factors: int, cap: int = ORDERING_CAP) -> list[tuple[int, ...]]:
@@ -43,25 +36,6 @@ def enumerate_orderings(n_factors: int, cap: int = ORDERING_CAP) -> list[tuple[i
             f"{n_factors} factors give {math.factorial(n_factors)} orderings, "
             f"above the cap of {cap}!; run with a fixed ordering instead")
     return list(itertools.permutations(range(n_factors)))
-
-
-def forget_ordering_probs(log_probs: np.ndarray, alpha_ord: float) -> np.ndarray:
-    """Forgetting step applied to ordering probabilities."""
-    lp = alpha_ord * np.asarray(log_probs, float)
-    return lp - logsumexp(lp)
-
-
-def update_ordering_probs(log_probs: np.ndarray, log_densities: np.ndarray,
-                          alpha_ord: float) -> np.ndarray:
-    """Forget, then Bayes-update with each ordering's joint factor density."""
-    log_densities = np.asarray(log_densities, float)
-    if log_densities.shape != np.shape(log_probs):
-        raise ShapeError("ordering probabilities and densities must align")
-    if np.isnan(log_densities).any():
-        bad = int(np.flatnonzero(np.isnan(log_densities))[0])
-        raise NumericError(f"NaN joint density for ordering {bad}")
-    lp = forget_ordering_probs(log_probs, alpha_ord) + log_densities
-    return lp - logsumexp(lp)
 
 
 def to_canonical(perm: tuple[int, ...], mean_perm: np.ndarray,

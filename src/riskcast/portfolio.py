@@ -25,7 +25,6 @@ class WeightVector:
     """Budget-feasible portfolio weights for one period."""
 
     w: np.ndarray
-    date: str = ""
 
     def __post_init__(self):
         w = np.asarray(self.w, float)
@@ -87,7 +86,7 @@ def _solve_spd(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericError("covariance matrix is not positive definite") from None
 
 
-def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float, date: str = "") -> WeightVector:
+def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float) -> WeightVector:
     """Closed-form mean-variance weights hitting a per-period return target.
 
     w = ((C - tau B)/(AC - B^2)) Sigma^-1 1 + ((tau A - B)/(AC - B^2)) Sigma^-1 mu
@@ -109,14 +108,14 @@ def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float, date: str = ""
             "mean vector is collinear with the budget direction; use the "
             "minimum-variance portfolio instead")
     w = ((C - target * B) / det) * si_one + ((target * A - B) / det) * si_mu
-    return WeightVector(w, date)
+    return WeightVector(w)
 
 
-def gmv_weights(cov: np.ndarray, date: str = "") -> WeightVector:
+def gmv_weights(cov: np.ndarray) -> WeightVector:
     """Global minimum-variance weights: Sigma^-1 1 normalized to the budget."""
     cov = np.asarray(cov, float)
     si_one = _solve_spd(cov, np.ones(cov.shape[0]))
-    return WeightVector(si_one / si_one.sum(), date)
+    return WeightVector(si_one / si_one.sum())
 
 
 def _box_extreme_points(mean: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +165,8 @@ def _feasible_start(bound: float, start: np.ndarray | None, n: int,
 
 
 def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None = None,
-                        target: float | None = None, date: str = "",
-                        start: np.ndarray | None = None) -> WeightVector:
+                        target: float | None = None, start: np.ndarray | None = None
+                        ) -> WeightVector:
     """Minimum-variance weights under a symmetric box |w_i| <= bound.
 
     Solves min w'Sigma w subject to 1'w = 1, optionally mu'w = target, and the
@@ -211,7 +210,7 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
         vals = np.array([1.0, float(target)])
     if bound * n <= 1.0:
         # equal weights are the only point in the box that meets the budget
-        return WeightVector(np.full(n, 1.0 / n), date)
+        return WeightVector(np.full(n, 1.0 / n))
 
     w = _feasible_start(bound, start, n, mean, target, extremes)
     fixed = np.abs(w) >= bound * (1.0 - 1e-12)
@@ -258,7 +257,7 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
         if B.size == 0 or mult.min() >= -KKT_TOL:
             if np.max(np.abs(E @ w - vals)) > 1e-10:
                 raise NumericError("active-set solution violates equality constraints")
-            return WeightVector(w, date)
+            return WeightVector(w)
         fixed[B[int(np.argmin(mult))]] = False
     raise NumericError("active-set iteration did not converge")
 

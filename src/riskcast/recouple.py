@@ -8,9 +8,11 @@ factor moments; the full asset covariance is a rank-K systematic part plus a
 strictly positive idiosyncratic diagonal, so it is positive definite by
 construction.
 
-Assets condition on realized factor values when scoring log predictive
-densities (the decoupled likelihood) but on predicted factor moments when
-building portfolio inputs.
+The engine runs none of this module: it uses the batched
+``_batch.recursive_factor_moments`` and ``_batch.batched_asset_moments``.
+``factor_moments`` and ``asset_moments`` are the scalar references that the
+tests hold those against, and the benchmark's tracer hooks ``asset_moments``
+by name.
 """
 
 from __future__ import annotations
@@ -22,16 +24,6 @@ import numpy as np
 
 from . import dlm, ordering
 from .errors import MomentError, ShapeError
-from .selection import ModelSpec
-
-
-@dataclass(frozen=True)
-class EquationForecast:
-    """Selected model of one asset equation at one date."""
-
-    spec: ModelSpec
-    prior: dlm.PriorState
-    forecast: dlm.TForecast
 
 
 @dataclass(frozen=True)
@@ -42,7 +34,6 @@ class PredictiveMoments:
     factor_cov: np.ndarray               # (K, K)
     asset_mean: np.ndarray               # (N,)
     asset_cov: np.ndarray                # (N, N)
-    per_equation: tuple[EquationForecast, ...]
 
 
 def _dof_correction(r: float, label: str) -> float:
@@ -98,13 +89,14 @@ def factor_moments(perm: Sequence[int], priors: Sequence[dlm.PriorState]
 
 
 def asset_moments(factor_mean: np.ndarray, factor_cov: np.ndarray,
-                  selections: Sequence[tuple[ModelSpec, dlm.PriorState]]
+                  selections: Sequence[tuple[Sequence[int], dlm.PriorState]]
                   ) -> PredictiveMoments:
     """Asset-block predictive moments given factor moments and selected models.
 
-    Loading vectors are embedded into K dimensions with zeros on unselected
-    factors, so assets with disjoint parental sets have zero systematic
-    covariance.
+    ``selections[j]`` pairs the parent factor indices of asset j's selected
+    model with its evolved prior.  Loading vectors are embedded into K
+    dimensions with zeros on unselected factors, so assets with disjoint
+    parental sets have zero systematic covariance.
     """
     factor_mean = np.asarray(factor_mean, float)
     factor_cov = np.asarray(factor_cov, float)
@@ -113,11 +105,11 @@ def asset_moments(factor_mean: np.ndarray, factor_cov: np.ndarray,
     B = np.zeros((N, K))
     mean = np.zeros(N)
     idio = np.zeros(N)
-    per_eq = []
-    for j, (spec, prior) in enumerate(selections):
-        idx = list(spec.parent_indices())
+    for j, (parents, prior) in enumerate(selections):
+        idx = list(parents)
         if prior.dim != 1 + len(idx):
-            raise ShapeError(f"asset {j}: prior dimension {prior.dim} does not match mask {spec.parents:b}")
+            raise ShapeError(f"asset {j}: prior dimension {prior.dim} does not match "
+                             f"parents {tuple(idx)}")
         corr = _dof_correction(prior.r, f"asset equation {j}")
         a_a, a_b, R_a, R_ab, R_b = _split(prior)
         m_pa = factor_mean[idx]
@@ -126,30 +118,7 @@ def asset_moments(factor_mean: np.ndarray, factor_cov: np.ndarray,
         u = _conditional_variance_load(m_pa, c_pa, R_a, R_ab, R_b)
         idio[j] = corr * (prior.s_prev + u)
         B[j, idx] = a_b
-        q_total = idio[j] + a_b @ c_pa @ a_b
-        per_eq.append(EquationForecast(spec, prior, dlm.TForecast(mean[j], q_total, prior.r)))
     cov = B @ factor_cov @ B.T
     cov[np.diag_indices(N)] += idio
     cov = (cov + cov.T) / 2.0
-    return PredictiveMoments(factor_mean, factor_cov, mean, cov, tuple(per_eq))
-
-
-def joint_lpd(moments: PredictiveMoments, realized_assets: np.ndarray,
-              realized_factors: np.ndarray) -> tuple[float, np.ndarray]:
-    """Asset-block log predictive density at the realized returns.
-
-    Each asset equation conditions on the realized values of its factor
-    parents; the block density is the sum of the per-equation Student-t log
-    densities.  Returns (total, per-equation vector).
-    """
-    realized_assets = np.asarray(realized_assets, float)
-    realized_factors = np.asarray(realized_factors, float)
-    if realized_assets.size != len(moments.per_equation):
-        raise ShapeError("realized asset vector does not match the equation count")
-    out = np.empty(realized_assets.size)
-    for j, eq in enumerate(moments.per_equation):
-        idx = list(eq.spec.parent_indices())
-        F = np.concatenate(([1.0], realized_factors[idx]))
-        fc = dlm.forecast(eq.prior, F)
-        out[j] = dlm.log_predictive_density(fc, realized_assets[j])
-    return float(out.sum()), out
+    return PredictiveMoments(factor_mean, factor_cov, mean, cov)

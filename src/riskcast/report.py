@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .errors import FormatError
 from .portfolio import BacktestReport
 

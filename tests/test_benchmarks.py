@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from riskcast import dlm, recouple
-from riskcast.benchmarks import (FactorWishartDLM, WishartDLMState, efm_cov,
-                                 ew_weights, ewma_cov, initial_wishart_state,
-                                 lw_shrinkage, wishart_dlm_step)
+from riskcast.benchmarks import (FactorWishartDLM, WishartDLMState, efm_cov, ewma_cov,
+                                 initial_wishart_state, lw_shrinkage, wishart_dlm_step)
+from test_engine import small_panel
+
+from riskcast.data import ReturnPanel
+from riskcast.engine import RunConfig, run_backtest
 from riskcast.errors import MomentError, NumericError, ParameterError
-from riskcast.selection import ModelSpec
 
 
 class TestEWMA:
@@ -208,12 +210,12 @@ class TestFactorWishartDLM:
         model = FactorWishartDLM(N, K, s0, delta, kappa, s0_diag=4e-4)
         fstate = initial_wishart_state(K, 4e-4, delta, kappa)
         states = [dlm.init_state(1 + K, float(s)) for s in s0]
-        spec = ModelSpec((1 << K) - 1, delta, kappa)
+        parents = tuple(range(K))
         for t in range(60):
             mean, cov = model.step(yF[t], yR[t])
             fstate, lam, sig = wishart_dlm_step(fstate, yF[t])
             priors = [dlm.evolve(st, delta, kappa) for st in states]
-            ref = recouple.asset_moments(lam, sig, [(spec, p) for p in priors])
+            ref = recouple.asset_moments(lam, sig, [(parents, p) for p in priors])
             F = np.concatenate(([1.0], yF[t]))
             states = [dlm.update(p, F, float(y)) for p, y in zip(priors, yR[t])]
             for got, want in ((mean, ref.asset_mean), (cov, ref.asset_cov)):
@@ -226,16 +228,37 @@ class TestFactorWishartDLM:
             model.step(np.zeros(1), np.zeros(2))
         prior = dlm.evolve(dlm.init_state(2, 0.1), 0.997, 0.1)
         with pytest.raises(MomentError, match="dof > 2"):
-            recouple.asset_moments(np.zeros(1), np.eye(1), [(ModelSpec(1, 0.997, 0.1), prior)])
+            recouple.asset_moments(np.zeros(1), np.eye(1), [((0,), prior)])
+
+
+def ew_row(n, shift=0.0):
+    """The ``ew`` row of a backtest on an n-asset panel whose returns are
+    moved by ``shift``, with the realized returns of its evaluation dates."""
+    panel = small_panel(seed=n, N=n, K=1, T=30, train=20)
+    panel = ReturnPanel(panel.dates, panel.assets, panel.factors, panel.R + shift, panel.F,
+                        panel.train_len)
+    cfg = RunConfig(ordering="fixed", delta_grid=(1.0,), kappa_r_grid=(1.0,),
+                    kappa_f_grid=(1.0,), strategy="gmv", tc_bps=(0.0,), benchmarks=("ew",),
+                    fee_reference="none")
+    row = run_backtest(panel, cfg).rows[1]
+    assert row.name == "ew"
+    return row, panel.R[panel.train_len:]
 
 
 class TestEW:
+    """The equal-weight row of ``run_backtest``."""
+
     def test_single_asset(self):
-        np.testing.assert_array_equal(ew_weights(1).w, [1.0])
+        row, realized = ew_row(1)
+        np.testing.assert_array_equal(row.gross, realized[:, 0])
 
     def test_quarter_weights(self):
-        np.testing.assert_allclose(ew_weights(4).w, 0.25)
+        row, realized = ew_row(4)
+        np.testing.assert_allclose(row.gross, realized @ np.full(4, 0.25), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 7, 452])
     def test_budget(self, n):
-        assert ew_weights(n).w.sum() == pytest.approx(1.0)
+        # moving every return by c moves the gross return by c times the budget
+        base, _ = ew_row(n)
+        moved, _ = ew_row(n, shift=0.01)
+        np.testing.assert_allclose(moved.gross - base.gross, 0.01, rtol=0, atol=1e-12)

@@ -164,3 +164,11 @@ class TestReadConfig:
         cfg.write_text("just some words\n")
         with pytest.raises(FormatError):
             read_config(cfg)
+
+    def test_seed_is_not_a_run_setting(self, tmp_path):
+        # the model draws nothing at random; only ``simulate`` takes a seed
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 3\n")
+        with pytest.raises(FormatError, match="unknown key 'seed'"):
+            read_config(cfg)
+        assert main(["backtest", "--seed", "3"]) == 1

@@ -9,7 +9,6 @@ from riskcast._batch import PoolGroup, batched_asset_moments, recursive_factor_m
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
                              run_statistics_only)
-from riskcast.selection import ModelSpec
 
 
 def small_panel(seed=0, N=6, K=2, T=120, train=40):
@@ -144,9 +143,8 @@ class TestBatchedKernelEquivalence:
         sels = []
         for j in range(N):
             g = groups[sel[j]]
-            mask = sum(1 << i for i in g.idx)
             prior = dlm.PriorState(g.a[j, 0], g.R[j, 0], float(g.r[0]), float(g.s_prev[j, 0]))
-            sels.append((ModelSpec(int(mask), 1.0, 1.0), prior))
+            sels.append((g.idx, prior))
         ref = recouple.asset_moments(lam, sig, sels)
         np.testing.assert_allclose(mean, ref.asset_mean, atol=1e-13)
         cov = B @ sig @ B.T
@@ -167,17 +165,18 @@ def reference_singleton_run(panel):
     fs0 = max(float((F[:train, 0] - F[:train, 0].mean()).var()), 1e-12)
     # intercept-only OLS residuals are the demeaned series
     fstate = dlm.init_state(1, fs0)
-    spec = ModelSpec(1, 1.0, 1.0)
     weights, lpds = [], []
     for t in range(panel.T):
         fprior = dlm.evolve(fstate, 1.0, 1.0)
         apriors = [dlm.evolve(st, 1.0, 1.0) for st in astates]
         lam, sig_f = recouple.factor_moments((0,), [fprior])
-        moments = recouple.asset_moments(lam, sig_f, [(spec, p) for p in apriors])
+        moments = recouple.asset_moments(lam, sig_f, [((0,), p) for p in apriors])
+        Freg = np.array([1.0, F[t, 0]])
         if t >= train:
             weights.append(pf.gmv_weights(moments.asset_cov).w)
-            lpds.append(recouple.joint_lpd(moments, R[t], F[t])[0])
-        Freg = np.array([1.0, F[t, 0]])
+            # the decoupled likelihood: each asset conditions on the realized factor
+            lpds.append(sum(dlm.log_predictive_density(dlm.forecast(p, Freg), float(R[t, j]))
+                            for j, p in enumerate(apriors)))
         astates = [dlm.update(p, Freg, float(R[t, j])) for j, p in enumerate(apriors)]
         fstate = dlm.update(fprior, np.ones(1), float(F[t, 0]))
     return np.array(weights), np.array(lpds)
@@ -414,4 +413,5 @@ class TestEngineBehaviors:
         assert report.header["turnover_first_period"] == "excluded"
         assert report.header["tau_conversion"] == "annual/periods_per_year"
         assert report.header["train_len"] == panel.train_len
+        assert "seed" not in report.header   # the model draws nothing at random
         assert report.rows[0].name == MODEL_NAME

@@ -1,4 +1,10 @@
-"""Factor ordering enumeration, probabilities and moment mixing."""
+"""Factor ordering enumeration, probabilities and moment mixing.
+
+The ordering probabilities run the engine's forget-then-Bayes recursion:
+``forecast_step`` forgets them with ``alpha_ord`` and ``update_step`` adds
+each ordering's joint factor density, both renormalized by
+``_normalize_rows``.
+"""
 
 import itertools
 
@@ -6,10 +12,22 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from test_engine import small_panel
+
+from riskcast import dlm
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize_rows
 from riskcast.errors import CapacityError
-from riskcast.ordering import (enumerate_orderings, forget_ordering_probs,
-                               mixture_factor_moments, to_canonical,
-                               update_ordering_probs)
+from riskcast.ordering import enumerate_orderings, mixture_factor_moments, to_canonical
+
+
+def update_ordering_probs(log_probs, log_densities, alpha_ord):
+    """The engine's two steps on given ordering densities: forget, then Bayes."""
+    return _normalize_rows(_normalize_rows(alpha_ord * np.asarray(log_probs, float))
+                           + log_densities)
+
+
+def factor_panel(K, seed=0):
+    return small_panel(seed=seed, N=2, K=K, T=50, train=20)
 
 
 class TestEnumerateOrderings:
@@ -28,8 +46,11 @@ class TestEnumerateOrderings:
 
 class TestUpdateOrderingProbs:
     def test_single_ordering_stays_certain(self):
-        lp = update_ordering_probs(np.array([0.0]), np.array([-1.3]), 0.99)
-        assert lp[0] == pytest.approx(0.0)
+        panel = factor_panel(K=2)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", alpha_ord=0.99))
+        for t in range(5):
+            flt.update_step(t, flt.forecast_step()[-1])
+            assert flt.ordering_log_probs.tolist() == [0.0]
 
     def test_identical_densities_are_neutral(self):
         start = np.log([0.25, 0.25, 0.5])
@@ -42,15 +63,31 @@ class TestUpdateOrderingProbs:
         np.testing.assert_allclose(np.exp(lp), [e / (1 + e), 1 / (1 + e)], atol=1e-12)
 
     def test_cumulative_product_oracle(self):
-        # alpha_ord = 1: posterior equals normalized cumulative joint densities
-        rng = np.random.default_rng(4)
-        lp = np.full(6, -np.log(6))
-        hist = rng.normal(size=(30, 6))
-        for t in range(30):
-            lp = update_ordering_probs(lp, hist[t], 1.0)
-        oracle = hist.sum(axis=0)
-        oracle -= logsumexp(oracle)
-        np.testing.assert_allclose(lp, oracle, atol=1e-8)
+        # alpha_ord = 1: the engine's ordering posterior equals the normalized
+        # cumulative joint factor densities, here from scalar filters per
+        # (ordering, position) with one spec each
+        panel = factor_panel(K=2, seed=4)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn", alpha_ord=1.0,
+                                                    delta_grid=(1.0,), kappa_f_grid=(1.0,)))
+        train = panel.train_len
+        states = {}
+        for o, perm in enumerate(flt.perms):
+            for j in range(2):
+                X = np.column_stack([np.ones(train), panel.F[:train, perm[:j]]])
+                y = panel.F[:train, perm[j]]
+                coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+                states[o, j] = dlm.init_state(1 + j, float((y - X @ coef).var()))
+        cum = np.zeros(flt.n_ord)
+        for t in range(panel.T):
+            flt.update_step(t, flt.forecast_step()[-1])
+            for o, perm in enumerate(flt.perms):
+                for j in range(2):
+                    F = np.concatenate(([1.0], panel.F[t, perm[:j]]))
+                    y = float(panel.F[t, perm[j]])
+                    prior = dlm.evolve(states[o, j], 1.0, 1.0)
+                    cum[o] += dlm.log_predictive_density(dlm.forecast(prior, F), y)
+                    states[o, j] = dlm.update(prior, F, y)
+            np.testing.assert_allclose(flt.ordering_log_probs, cum - logsumexp(cum), atol=1e-8)
 
 
 class TestMixtureMoments:
@@ -130,5 +167,6 @@ class TestCanonicalMapping:
         np.testing.assert_allclose(S2[np.ix_(g, g)], S1, atol=1e-14)
 
     def test_forget_uniform_fixed_point(self):
-        lp = np.full(4, -np.log(4))
-        np.testing.assert_allclose(forget_ordering_probs(lp, 0.9), lp, atol=1e-14)
+        flt = _DynamicFactorFilter(factor_panel(K=3), RunConfig(ordering="learn", alpha_ord=0.9))
+        lp_ord_pred = flt.forecast_step()[-1][2]
+        np.testing.assert_allclose(lp_ord_pred, np.full(6, -np.log(6)), atol=1e-14)

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from test_engine import small_panel
+
 from riskcast import dlm, recouple
+from riskcast.data import ReturnPanel
+from riskcast.engine import RunConfig, run_statistics_only
 from riskcast.errors import MomentError
-from riskcast.selection import ModelSpec
+
+
+def parents_of(mask):
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def random_factor_priors(K, rng, scale=0.05):
@@ -30,7 +37,7 @@ def random_asset_selection(N, K, rng, scale=0.05):
         R = A @ A.T + 0.01 * np.eye(d)
         prior = dlm.PriorState(a, R, float(rng.uniform(8, 30)),
                                float(rng.uniform(1e-4, 1e-3)))
-        sels.append((ModelSpec(mask, 1.0, 1.0), prior))
+        sels.append((parents_of(mask), prior))
     return sels
 
 
@@ -98,9 +105,9 @@ class TestAssetMoments:
     def test_disjoint_masks_zero_cross_term(self):
         lam = np.zeros(2)
         sig_f = np.diag([0.0004, 0.0009])
-        mk = lambda mask, beta: (ModelSpec(mask, 1.0, 1.0),
-                                 dlm.PriorState([0.0, beta], np.eye(2) * 1e-12, 20.0, 0.0001))
-        moments = recouple.asset_moments(lam, sig_f, [mk(0b01, 1.0), mk(0b10, 1.0)])
+        mk = lambda parents, beta: (parents,
+                                    dlm.PriorState([0.0, beta], np.eye(2) * 1e-12, 20.0, 0.0001))
+        moments = recouple.asset_moments(lam, sig_f, [mk((0,), 1.0), mk((1,), 1.0)])
         assert moments.asset_cov[0, 1] == pytest.approx(0.0, abs=1e-15)
         assert moments.asset_cov[0, 0] == pytest.approx(
             (20.0 / 18.0) * (0.0001 + 1e-12 + 1e-12) + 0.0004, rel=1e-6)
@@ -111,8 +118,7 @@ class TestAssetMoments:
         sig_f = np.array([[4e-4, 1e-4], [1e-4, 9e-4]])
         beta = np.array([0.8, 1.2])
         prior = dlm.PriorState(np.concatenate(([0.0], beta)), np.eye(3) * 1e-12, 20.0, 1e-4)
-        spec = ModelSpec(0b11, 1.0, 1.0)
-        moments = recouple.asset_moments(lam, sig_f, [(spec, prior), (spec, prior)])
+        moments = recouple.asset_moments(lam, sig_f, [((0, 1), prior), ((0, 1), prior)])
         expected = beta @ sig_f @ beta
         assert moments.asset_cov[0, 1] == pytest.approx(expected, rel=1e-9)
 
@@ -125,8 +131,8 @@ class TestAssetMoments:
         sels = random_asset_selection(6, 3, rng)
         moments = recouple.asset_moments(lam, sig_f, sels)
         B = np.zeros((6, 3))
-        for j, (spec, prior) in enumerate(sels):
-            B[j, list(spec.parent_indices())] = prior.a[1:]
+        for j, (parents, prior) in enumerate(sels):
+            B[j, list(parents)] = prior.a[1:]
         systematic = B @ sig_f @ B.T
         off = moments.asset_cov - np.diag(np.diag(moments.asset_cov))
         np.testing.assert_allclose(off, systematic - np.diag(np.diag(systematic)), atol=1e-12)
@@ -140,8 +146,8 @@ class TestAssetMoments:
         sig_f = np.eye(2) * 1e-4
         sels = random_asset_selection(5, 2, rng)
         moments = recouple.asset_moments(lam, sig_f, sels)
-        for j, (spec, prior) in enumerate(sels):
-            idx = list(spec.parent_indices())
+        for j, (parents, prior) in enumerate(sels):
+            idx = list(parents)
             assert moments.asset_mean[j] == pytest.approx(prior.a[0] + lam[idx] @ prior.a[1:])
 
     def test_asset_permutation_equivariance(self):
@@ -176,8 +182,8 @@ class TestAssetMoments:
         n = 400_000
         fdraws = simulate_factor_block(fpriors, perm, n, rng)
         adraws = np.zeros((n, 5))
-        for j, (spec, pr) in enumerate(sels):
-            idx = list(spec.parent_indices())
+        for j, (parents, pr) in enumerate(sels):
+            idx = list(parents)
             F = np.column_stack([np.ones(n), fdraws[:, idx]])
             f = F @ pr.a
             q = pr.s_prev + np.einsum("ni,ij,nj->n", F, pr.R, F)
@@ -194,31 +200,39 @@ class TestAssetMoments:
 
 
 class TestJointLPD:
+    """The engine's asset-block LPD: each asset's selected model scored by its
+    Student-t density given the same date's realized factors."""
+
     def test_single_equation_reduction(self):
-        rng = np.random.default_rng(1)
-        sels = random_asset_selection(1, 2, rng)
-        moments = recouple.asset_moments(np.zeros(2), np.eye(2) * 1e-4, sels)
-        yF = rng.normal(size=2) * 0.02
-        y = float(rng.normal() * 0.02)
-        total, per_eq = recouple.joint_lpd(moments, [y], yF)
-        spec, prior = sels[0]
-        F = np.concatenate(([1.0], yF[list(spec.parent_indices())]))
-        direct = dlm.log_predictive_density(dlm.forecast(prior, F), y)
-        assert total == pytest.approx(direct, abs=1e-12)
-        assert per_eq[0] == pytest.approx(direct, abs=1e-12)
+        # one asset, one spec (full mask, delta = kappa = 1): the LPD series is
+        # the scalar filter's log predictive density date by date
+        panel = small_panel(seed=1, N=1, K=2, T=60, train=20)
+        cfg = RunConfig(ordering="fixed", sparsity=False, delta_grid=(1.0,),
+                        kappa_r_grid=(1.0,), kappa_f_grid=(1.0,))
+        stats = run_statistics_only(panel, cfg)
+        train = panel.train_len
+        X = np.column_stack([np.ones(train), panel.F[:train]])
+        coef, *_ = np.linalg.lstsq(X, panel.R[:train, 0], rcond=None)
+        state = dlm.init_state(3, float((panel.R[:train, 0] - X @ coef).var()))
+        direct = []
+        for t in range(panel.T):
+            F = np.concatenate(([1.0], panel.F[t]))
+            prior = dlm.evolve(state, 1.0, 1.0)
+            if t >= train:
+                direct.append(dlm.log_predictive_density(dlm.forecast(prior, F),
+                                                         float(panel.R[t, 0])))
+            state = dlm.update(prior, F, float(panel.R[t, 0]))
+        np.testing.assert_allclose(stats.lpd_series, direct, atol=1e-10)
+        assert stats.lpd == pytest.approx(sum(direct), abs=1e-9)
 
     def test_additive_across_assets(self):
-        rng = np.random.default_rng(2)
-        sels = random_asset_selection(3, 2, rng)
-        lam, sig_f = np.zeros(2), np.eye(2) * 1e-4
-        yF = rng.normal(size=2) * 0.02
-        ys = rng.normal(size=3) * 0.02
-        m3 = recouple.asset_moments(lam, sig_f, sels)
-        total3, per3 = recouple.joint_lpd(m3, ys, yF)
-        # per-equation oracle sum
-        parts = []
-        for (spec, prior), y in zip(sels, ys):
-            F = np.concatenate(([1.0], yF[list(spec.parent_indices())]))
-            parts.append(dlm.log_predictive_density(dlm.forecast(prior, F), float(y)))
-        assert total3 == pytest.approx(sum(parts), abs=1e-12)
-        np.testing.assert_allclose(per3, parts, atol=1e-12)
+        # the block LPD is the sum of the assets' own LPDs: a three-asset run
+        # equals three one-asset runs on the same factors
+        panel = small_panel(seed=2, N=3, K=2, T=60, train=20)
+        cfg = RunConfig(ordering="fixed")
+        total = run_statistics_only(panel, cfg).lpd_series
+        parts = [run_statistics_only(ReturnPanel(panel.dates, (panel.assets[j],), panel.factors,
+                                                 panel.R[:, [j]], panel.F, panel.train_len),
+                                     cfg).lpd_series
+                 for j in range(3)]
+        np.testing.assert_allclose(total, np.sum(parts, axis=0), atol=1e-10)

@@ -1,4 +1,12 @@
-"""Model spaces and dynamic model probabilities."""
+"""Model spaces and dynamic model probabilities, as the engine runs them.
+
+Every pool forgets its log probabilities (times alpha, renormalized) in
+``forecast_step`` and Bayes-updates them with the kernel's one-step
+predictive densities in ``update_step``; both steps renormalize with
+``_normalize_rows``.  The tests drive ``_DynamicFactorFilter`` where the
+densities can come from the filters themselves, and ``_normalize_rows``
+where they are given.
+"""
 
 import numpy as np
 import pytest
@@ -6,137 +14,188 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from test_engine import small_panel
+
 from riskcast import dlm
-from riskcast.errors import NumericError, ParameterError
-from riskcast.selection import (EquationPool, ModelSpec, build_pool,
-                                inclusion_probability, predict_probs, select_best,
-                                update_probs)
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize_rows
+from riskcast.errors import ParameterError
 
 
-def make_pool(log_weights, alpha=1.0, n_factors=1):
-    lw = np.asarray(log_weights, float)
-    lw = lw - logsumexp(lw)
-    specs = [ModelSpec(1, 1.0, 1.0) for _ in lw]
-    states = [dlm.init_state(2, 1.0) for _ in lw]
-    return EquationPool(specs, states, lw, alpha, n_factors=n_factors)
+def panel_with(K, N=2, T=40, seed=0):
+    return small_panel(seed=seed, N=N, K=K, T=T, train=20)
+
+
+def make_filter(K=2, N=2, **config):
+    return _DynamicFactorFilter(panel_with(K, N), RunConfig(ordering="fixed", **config))
+
+
+def forget(flt, log_probs):
+    """The engine's forgetting step on given asset log probabilities:
+    (predicted log probabilities, selected spec per asset)."""
+    flt.asset_log_probs = np.asarray(log_probs, float)
+    sel_assets, _, _, lp_pred, _ = flt.forecast_step()[-1]
+    return lp_pred, sel_assets
+
+
+def update(predicted, log_densities):
+    """The engine's Bayes step on given predicted probabilities and densities."""
+    return _normalize_rows(np.asarray(predicted, float) + np.asarray(log_densities, float))
+
+
+def spec_masks(flt):
+    """Parent mask of each flattened asset spec, in the engine's layout."""
+    return np.repeat(flt.masks, flt.P_r)
 
 
 class TestBuildPool:
     def test_asset_space_size(self):
-        pool = build_pool(5, [0.998, 0.999, 1.0], [0.99, 0.995, 1.0], 0.99)
-        assert len(pool.specs) == 31 * 9 == 279
-        assert all(sp.parents != 0 for sp in pool.specs)
-        pool.validate()
+        # (2^K - 1) parent masks x |delta| x |kappa_r|
+        flt = make_filter(K=5, delta_grid=(0.95, 0.975, 1.0), kappa_r_grid=(0.99, 0.995, 1.0))
+        assert flt.asset_log_probs.shape == (2, 31 * 9) == (2, 279)
+        assert all(m != 0 for m in flt.masks)
+        np.testing.assert_allclose(logsumexp(flt.asset_log_probs, axis=1), 0.0, atol=1e-12)
 
     def test_singleton_space(self):
-        pool = build_pool(1, [1.0], [1.0], 0.99)
-        assert len(pool.specs) == 1
-        assert np.exp(pool.log_probs[0]) == pytest.approx(1.0)
+        flt = make_filter(K=1, delta_grid=(1.0,), kappa_r_grid=(1.0,))
+        assert flt.asset_log_probs.shape == (2, 1)
+        np.testing.assert_allclose(np.exp(flt.asset_log_probs), 1.0)
 
     def test_factor_equation_space(self):
-        # enumeration oracle: one full mask x 3 deltas x 2 kappas = 6 models
-        pool = build_pool(0, [0.998, 0.999, 1.0], [0.999, 1.0], 0.99,
-                          is_factor_equation=True, preceding=2)
-        assert len(pool.specs) == 6
-        assert all(sp.parents == 0b11 for sp in pool.specs)
+        # enumeration oracle: one full mask over the preceding factors
+        # x 3 deltas x 2 kappas = 6 models at every position
+        flt = make_filter(K=3, delta_grid=(0.95, 0.975, 1.0), kappa_f_grid=(0.999, 1.0))
+        for jj, grp in enumerate(flt.factor_groups):
+            assert list(grp.idx) == list(range(jj))
+            assert grp.P == 6
+            assert flt.factor_log_probs[jj].shape == (flt.n_ord, 6)
 
     def test_zero_factor_asset_equation_rejected(self):
-        with pytest.raises(ParameterError):
-            build_pool(0, [1.0], [1.0], 0.99)
+        with pytest.raises(ParameterError, match="factor_set"):
+            make_filter(K=2, factor_set=())
 
 
 class TestPredictProbs:
     def test_no_forgetting_is_identity(self):
-        pool = make_pool(np.log([0.5, 0.3, 0.2]), alpha=1.0)
-        np.testing.assert_allclose(predict_probs(pool), pool.log_probs, atol=1e-14)
+        flt = make_filter(alpha=1.0)
+        lp = _normalize_rows(np.random.default_rng(0).normal(size=flt.asset_log_probs.shape))
+        np.testing.assert_allclose(forget(flt, lp)[0], lp, atol=1e-14)
 
     def test_uniform_is_fixed_point(self):
-        pool = make_pool(np.zeros(4), alpha=0.9)
-        np.testing.assert_allclose(np.exp(predict_probs(pool)), 0.25, atol=1e-14)
+        flt = make_filter(alpha=0.9)
+        n = flt.asset_log_probs.shape[1]
+        lp_pred, _ = forget(flt, np.full((2, n), -np.log(n)))
+        np.testing.assert_allclose(np.exp(lp_pred), 1.0 / n, atol=1e-14)
 
     def test_forgetting_formula(self):
-        # direct high-precision evaluation: (0.8^.99, 0.2^.99) renormalized
-        pool = make_pool(np.log([0.8, 0.2]), alpha=0.99)
-        raw = np.array([0.8 ** 0.99, 0.2 ** 0.99])
-        np.testing.assert_allclose(np.exp(predict_probs(pool)), raw / raw.sum(), atol=1e-12)
+        # direct evaluation: p_i^alpha renormalized
+        flt = make_filter(alpha=0.99)
+        rng = np.random.default_rng(1)
+        p = rng.uniform(0.1, 1.0, size=flt.asset_log_probs.shape)
+        p /= p.sum(axis=1, keepdims=True)
+        raw = p ** 0.99
+        lp_pred, _ = forget(flt, np.log(p))
+        np.testing.assert_allclose(np.exp(lp_pred), raw / raw.sum(axis=1, keepdims=True),
+                                   atol=1e-12)
 
 
 class TestUpdateProbs:
     def test_constant_likelihood_is_identity(self):
-        pred = np.log([0.6, 0.4])
-        np.testing.assert_allclose(update_probs(pred, np.full(2, -3.0)), pred, atol=1e-14)
+        pred = np.log([[0.6, 0.4]])
+        np.testing.assert_allclose(update(pred, np.full((1, 2), -3.0)), pred, atol=1e-14)
 
     def test_dominant_model(self):
-        post = update_probs(np.log([0.5, 0.5]), np.array([0.0, -1e6]))
-        np.testing.assert_allclose(np.exp(post), [1.0, 0.0], atol=1e-12)
-
-    def test_nan_density_names_model(self):
-        with pytest.raises(NumericError, match="model 1"):
-            update_probs(np.log([0.5, 0.5]), np.array([0.0, np.nan]))
+        post = update(np.log([[0.5, 0.5]]), np.array([[0.0, -1e6]]))
+        np.testing.assert_allclose(np.exp(post), [[1.0, 0.0]], atol=1e-12)
 
     def test_cumulative_bayes_factor_oracle(self):
-        # with alpha = 1, the posterior equals normalized products of all
-        # predictive densities over the run
-        rng = np.random.default_rng(7)
-        M, T = 5, 80
-        lp = np.full(M, -np.log(M))
-        dens_hist = rng.normal(size=(T, M))
-        for t in range(T):
-            lp = update_probs(lp, dens_hist[t])  # alpha=1: predicted == posterior
-        oracle = dens_hist.sum(axis=0)
-        oracle = oracle - logsumexp(oracle)
-        np.testing.assert_allclose(lp, oracle, atol=1e-8)
+        # with alpha = 1 the posterior equals the normalized sums of each
+        # spec's log predictive densities, computed here by the scalar kernel
+        panel = panel_with(K=1, N=1, T=60, seed=2)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", alpha=1.0,
+                                                    delta_grid=(0.95, 1.0),
+                                                    kappa_r_grid=(0.99, 1.0)))
+        specs = [(d, k) for d in (0.95, 1.0) for k in (0.99, 1.0)]
+        states = [dlm.init_state(2, float(flt.s0_assets[0])) for _ in specs]
+        cum = np.zeros(len(specs))
+        for t in range(panel.T):
+            flt.update_step(t, flt.forecast_step()[-1])
+            F = np.array([1.0, panel.F[t, 0]])
+            y = float(panel.R[t, 0])
+            for i, (d, k) in enumerate(specs):
+                prior = dlm.evolve(states[i], d, k)
+                cum[i] += dlm.log_predictive_density(dlm.forecast(prior, F), y)
+                states[i] = dlm.update(prior, F, y)
+        np.testing.assert_allclose(flt.asset_log_probs[0], cum - logsumexp(cum), atol=1e-8)
 
 
 class TestSelectBest:
     def test_argmax(self):
-        assert select_best(make_pool(np.log([0.2, 0.5, 0.3]))) == 1
+        flt = make_filter(K=1, N=1, delta_grid=(0.95, 1.0), kappa_r_grid=(0.99, 1.0))
+        _, sel = forget(flt, np.log([[0.2, 0.4, 0.3, 0.1]]))
+        assert sel[0] == 1
 
     def test_tie_breaks_low_index(self):
-        assert select_best(make_pool(np.log([0.5, 0.5]))) == 0
+        flt = make_filter()
+        n = flt.asset_log_probs.shape[1]
+        lp = np.full((2, n), -np.log(n))
+        _, sel = forget(flt, lp)
+        np.testing.assert_array_equal(sel, 0)
+        lp[1] = np.log(np.r_[0.001, np.full(n - 1, 0.999 / (n - 1))])
+        _, sel = forget(flt, lp)
+        assert sel[1] == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
-        w = rng.uniform(0.1, 1.0, size=6)
-        base = select_best(make_pool(np.log(w)))
+        flt = make_filter(K=1, N=1, delta_grid=(0.95, 1.0), kappa_r_grid=(0.99, 1.0))
+        w = rng.uniform(0.1, 1.0, size=(1, 4))
+        base = forget(flt, _normalize_rows(np.log(w)))[1]
         for c in (1e-7, 3.0, 1e9):
-            assert select_best(make_pool(np.log(c * w))) == base
+            assert forget(flt, _normalize_rows(np.log(c * w)))[1] == base
 
 
 class TestInclusionProbability:
     def test_singleton_containing(self):
-        pool = make_pool([0.0])
-        assert inclusion_probability(pool, 0) == pytest.approx(1.0)
+        flt = make_filter(K=1)
+        _, inclusion = flt.update_step(0, flt.forecast_step()[-1])
+        np.testing.assert_allclose(inclusion, 1.0, atol=1e-12)
 
     def test_uniform_enumeration_oracle(self):
-        # masks {01, 10, 11} uniform: factor 0 sits in 2 of 3
-        specs = [ModelSpec(m, 1.0, 1.0) for m in (0b01, 0b10, 0b11)]
-        states = [dlm.init_state(sp.dim, 1.0) for sp in specs]
-        pool = EquationPool(specs, states, np.full(3, -np.log(3)), 0.99, n_factors=2)
-        assert inclusion_probability(pool, 0) == pytest.approx(2.0 / 3.0)
-        assert inclusion_probability(pool, 1) == pytest.approx(2.0 / 3.0)
+        # masks {01, 10, 11}: with the probabilities left uniform by equal
+        # densities (all loadings zero, one spec per mask), factor 0 sits in 2 of 3
+        panel = panel_with(K=2)
+        panel.F[:] = 0.0
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", delta_grid=(1.0,),
+                                                    kappa_r_grid=(1.0,)))
+        _, inclusion = flt.update_step(0, flt.forecast_step()[-1])
+        np.testing.assert_allclose(inclusion, 2.0 / 3.0, atol=1e-12)
 
     def test_partition_sums_to_one(self):
-        rng = np.random.default_rng(11)
-        specs = [ModelSpec(m, 1.0, 1.0) for m in range(1, 8)]
-        states = [dlm.init_state(sp.dim, 1.0) for sp in specs]
-        lw = rng.normal(size=7)
-        pool = EquationPool(specs, states, lw - logsumexp(lw), 0.99, n_factors=3)
+        # brute force over the specs: inclusion is the total probability of
+        # the specs whose parent mask holds the factor, exclusion the rest
+        flt = make_filter(K=3, N=3)
+        for t in range(10):
+            _, inclusion = flt.update_step(t, flt.forecast_step()[-1])
+        p = np.exp(flt.asset_log_probs)
+        masks = spec_masks(flt)
         for k in range(3):
-            inc = inclusion_probability(pool, k)
-            exc = np.exp(logsumexp(pool.log_probs[[not sp.includes(k) for sp in pool.specs]]))
-            assert inc + exc == pytest.approx(1.0, abs=1e-12)
+            holds = (masks >> k) & 1 == 1
+            np.testing.assert_allclose(inclusion[:, k], p[:, holds].sum(axis=1), atol=1e-12)
+            np.testing.assert_allclose(inclusion[:, k] + p[:, ~holds].sum(axis=1), 1.0,
+                                       atol=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            inclusion_probability(make_pool([0.0], n_factors=1), 1)
+        with pytest.raises(ParameterError, match="factor_set"):
+            make_filter(K=1, factor_set=(1,))
 
     def test_monotone_under_reweighting(self):
-        specs = [ModelSpec(0b01, 1.0, 1.0), ModelSpec(0b10, 1.0, 1.0)]
-        states = [dlm.init_state(2, 1.0) for _ in specs]
-        before = EquationPool(specs, states, np.log([0.5, 0.5]), 0.99, n_factors=2)
-        after = EquationPool(specs, states, np.log([0.8, 0.2]), 0.99, n_factors=2)
-        assert inclusion_probability(after, 0) > inclusion_probability(before, 0)
+        # moving probability onto the specs holding factor 0 raises its inclusion
+        base, shifted = make_filter(K=2, N=1), make_filter(K=2, N=1)
+        for flt in (base, shifted):
+            flt.update_step(0, flt.forecast_step()[-1])
+        holds = (spec_masks(shifted) & 1) == 1
+        shifted.asset_log_probs = _normalize_rows(shifted.asset_log_probs + holds)
+        after = [flt.update_step(1, flt.forecast_step()[-1])[1][0, 0] for flt in (base, shifted)]
+        assert after[1] > after[0]
 
 
 class TestProperties:
@@ -144,23 +203,33 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_normalization_preserved(self, m, alpha, seed):
         rng = np.random.default_rng(seed)
-        pool = make_pool(rng.normal(size=m), alpha=alpha)
-        lp = predict_probs(pool)
-        assert abs(logsumexp(lp)) < 1e-10
-        lp = update_probs(lp, rng.normal(size=m))
-        assert abs(logsumexp(lp)) < 1e-10
+        lp = _normalize_rows(rng.normal(size=(3, m)))
+        lp = _normalize_rows(alpha * lp)
+        np.testing.assert_array_less(np.abs(logsumexp(lp, axis=1)), 1e-10)
+        lp = update(lp, rng.normal(size=(3, m)))
+        np.testing.assert_array_less(np.abs(logsumexp(lp, axis=1)), 1e-10)
 
     def test_discounted_likelihood_identity(self):
-        # two-model pool: log-odds after the update at time t equal
-        # sum_l alpha^l * density difference at t-l
-        rng = np.random.default_rng(17)
+        # two specs per asset (one mask, delta in {0.95, 1}): after the update
+        # at t the log-odds equal sum_l alpha^l * density difference at t-l,
+        # with the densities from the scalar kernel
         alpha = 0.95
-        lp = np.log([0.5, 0.5])
+        panel = panel_with(K=1, N=1, T=30, seed=4)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", alpha=alpha,
+                                                    delta_grid=(0.95, 1.0),
+                                                    kappa_r_grid=(1.0,)))
+        states = [dlm.init_state(2, float(flt.s0_assets[0])) for _ in range(2)]
         diffs = []
-        for t in range(12):
-            dens = rng.normal(size=2)
+        for t in range(panel.T):
+            flt.update_step(t, flt.forecast_step()[-1])
+            F = np.array([1.0, panel.F[t, 0]])
+            y = float(panel.R[t, 0])
+            dens = []
+            for i, d in enumerate((0.95, 1.0)):
+                prior = dlm.evolve(states[i], d, 1.0)
+                dens.append(dlm.log_predictive_density(dlm.forecast(prior, F), y))
+                states[i] = dlm.update(prior, F, y)
             diffs.append(dens[0] - dens[1])
-            pool = make_pool(lp, alpha=alpha)
-            lp = update_probs(predict_probs(pool), dens)
             expected = sum(alpha ** l * diffs[-1 - l] for l in range(len(diffs)))
+            lp = flt.asset_log_probs[0]
             assert lp[0] - lp[1] == pytest.approx(expected, abs=1e-8)
