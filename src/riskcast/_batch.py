@@ -1,13 +1,14 @@
 """Vectorized filter kernel used by the engine.
 
-Pool members are stacked into arrays so that every equation sharing a parent
-mask advances in one set of array operations: axis ``b`` runs over equations
-(assets, or orderings for the factor block), axis ``p`` over discount
-combinations.  The state is stored component-major, with the regression
-dimensions leading: ``m`` is (d, b, p) and ``C`` is (d, d, b, p), so every
-elementwise pass runs over contiguous b x p planes.  The recursions are the
-same as in the ``dlm`` module; the test suite asserts equivalence against the
-per-state reference kernel.
+Pool members are stacked into arrays so that every equation with the same
+regression dimension advances in one set of array operations: axis ``b``
+runs over equations (assets sharing a parent mask, or the distinct factor
+equations of one ordering position), axis ``p`` over discount combinations.
+The state is stored component-major, with the regression dimensions leading:
+``m`` is (d, b, p) and ``C`` is (d, d, b, p), so every elementwise pass runs
+over contiguous b x p planes.  The recursions are the same as in the ``dlm``
+module; the test suite asserts equivalence against the per-state reference
+kernel.
 
 Degrees of freedom evolve as n <- kappa * n + 1 independently of the data,
 so ``n`` is stored once per discount combination rather than per equation.
@@ -37,12 +38,12 @@ def t_logpdf_grid(y, f, q, dof, log_norm=None):
 
 
 class PoolGroup:
-    """States of all pool members sharing one parent index set.
+    """States of all pool members with one regression dimension.
 
-    ``idx`` holds the parent factor indices; the regression dimension is
-    d = 1 + len(idx).  The state lives component-major in ``_m`` (d, b, p)
-    and ``_C`` (d, d, b, p), with s (b, p) and n (p,).  ``m`` and ``C`` read
-    it as (b, p, d[, d]) views.
+    ``idx`` holds the parent factor indices, when the members share them;
+    the regression dimension is d = 1 + len(idx).  The state lives
+    component-major in ``_m`` (d, b, p) and ``_C`` (d, d, b, p), with
+    s (b, p) and n (p,).  ``m`` and ``C`` read it as (b, p, d[, d]) views.
 
     The evolution has identity transition, so it moves nothing: the prior
     mean ``a`` is ``m`` and the prior scale ``R`` is C / delta, which
@@ -144,47 +145,40 @@ class PoolGroup:
         return a, R, self.r[p_idx], self.s_prev[members, p_idx]
 
 
-def recursive_factor_moments(perms: np.ndarray, a_sel, R_sel, r_sel, s_sel,
+def recursive_factor_moments(parents, targets, a_sel, R_sel, r_sel, s_sel,
                              dof_floor: float = DOF_FLOOR
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Factor moments for every ordering at once, in canonical coordinates.
+    """Factor moments for every ordering at once, in factor coordinates.
 
-    ``a_sel[j]`` etc. hold the selected prior of position j across orderings:
-    a (o, j+1), R (o, j+1, j+1), r (o,), s (o,).  Degrees of freedom are
-    floored at ``dof_floor``.
+    Position j of ordering o regresses factor ``targets[j][o]`` on the
+    factors ``parents[j][o]`` (o, j), which the earlier positions placed;
+    ``a_sel[j]`` etc. hold the selected prior of that equation, with the
+    coefficients in the order of ``parents[j]``: a (o, j+1), R (o, j+1, j+1),
+    r (o,), s (o,).  Degrees of freedom are floored at ``dof_floor``.
+
+    The recursion fills the second moments S = E[x x'] of x = (1, factors).
+    For the target y of position j, with regressors X = (1, parents), it
+    applies the asset-moment formula of ``batched_asset_moments`` in second
+    moments: E[y X] = E[X X'] a and E[y^2] = r/(r-2) (s + tr(R E[X X']))
+    + a' E[y X].  At j = 0, X is the constant alone.
     """
-    n_ord, K = perms.shape
-    mean = np.zeros((n_ord, K))
-    cov = np.zeros((n_ord, K, K))
-    for j in range(K):
-        a, R, r, s = a_sel[j], R_sel[j], r_sel[j], s_sel[j]
-        r = np.maximum(r, dof_floor)
-        corr = r / (r - 2.0)
-        if j == 0:
-            mean[:, 0] = a[:, 0]
-            cov[:, 0, 0] = corr * (R[:, 0, 0] + s)
-            continue
-        aB = a[:, 1:]
-        RA = R[:, 0, 0]
-        RAB = R[:, 0, 1:]
-        RB = R[:, 1:, 1:]
-        m_pa = mean[:, :j]
-        c_pa = cov[:, :j, :j]
-        mean[:, j] = a[:, 0] + np.einsum("oi,oi->o", m_pa, aB)
-        u = (np.einsum("oi,oij,oj->o", m_pa, RB, m_pa)
-             + np.einsum("oij,oji->o", RB, c_pa)
-             + 2.0 * np.einsum("oi,oi->o", RAB, m_pa) + RA)
-        cov[:, j, j] = corr * (s + u) + np.einsum("oi,oij,oj->o", aB, c_pa, aB)
-        cross = np.einsum("oij,oj->oi", c_pa, aB)
-        cov[:, j, :j] = cross
-        cov[:, :j, j] = cross
-    # map position space back to factor identifiers
+    n_ord, K = len(targets[0]), len(targets)
+    S = np.zeros((n_ord, K + 1, K + 1))
+    S[:, 0, 0] = 1.0
     rows = np.arange(n_ord)[:, None]
-    mean_c = np.zeros_like(mean)
-    mean_c[rows, perms] = mean
-    cov_c = np.zeros_like(cov)
-    cov_c[np.arange(n_ord)[:, None, None], perms[:, :, None], perms[:, None, :]] = cov
-    return mean_c, cov_c
+    const = np.zeros((n_ord, 1), dtype=int)
+    for pa, tg, a, R, r, s in zip(parents, targets, a_sel, R_sel, r_sel, s_sel):
+        r = np.maximum(r, dof_floor)
+        X = np.concatenate((const, pa + 1), axis=1)
+        y = tg[:, None] + 1
+        SX = S[rows[:, :, None], X[:, :, None], X[:, None, :]]
+        yX = np.einsum("oij,oj->oi", SX, a)
+        S[rows, y, X] = yX
+        S[rows, X, y] = yX
+        S[rows, y, y] = ((r / (r - 2.0)) * (s + np.einsum("oij,oji->o", R, SX))
+                         + np.einsum("oi,oi->o", a, yX))[:, None]
+    mean = S[:, 0, 1:]
+    return mean, S[:, 1:, 1:] - mean[:, :, None] * mean[:, None, :]
 
 
 def batched_asset_moments(groups, sel_flat: np.ndarray, lam: np.ndarray,

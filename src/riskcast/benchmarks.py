@@ -146,8 +146,9 @@ def wishart_dlm_step(state: WishartDLMState, y: np.ndarray
     rho = state.c / state.delta
     r = state.kappa * state.n
     q = rho + 1.0
-    corr = r / (r - 2.0) if r > 2.0 else 1.0
-    cov_pred = q * state.S * corr
+    if r <= 2.0:
+        raise MomentError(f"local-level model: predictive variance needs dof > 2, got r={r}")
+    cov_pred = q * state.S * (r / (r - 2.0))
     mean_pred = state.m.copy()
     e = y - state.m
     A = rho / q

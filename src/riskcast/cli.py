@@ -6,7 +6,8 @@ results file).  Every flag has a config-file equivalent; flags override the
 file.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 
 Config files are flat ``key = value`` text; values are parsed as JSON where
-possible (lists use ``[0, 5, 10]``), otherwise taken as strings.  Lines
+possible (lists use ``[0, 5, 10]``), otherwise taken as strings, and must
+have the type ``CONFIG_KEYS`` declares (an int passes as a float).  Lines
 starting with ``#`` are comments.  The environment variable RISKCAST_CONFIG
 names a default config file.
 """
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -35,10 +37,20 @@ CONFIG_KEYS = {
     "mean_signal": str, "fee_reference": str, "inclusion_out": str, "ordering_out": str,
     "tau": float, "bound": float, "alpha": float, "alpha_ord": float,
     "train_len": int, "threads": int,
-    "tc": list, "gamma": list, "factor_set": list, "benchmarks": list,
-    "delta_grid": list, "kappa_r_grid": list, "kappa_f_grid": list,
+    "tc": list[float], "gamma": list[float], "factor_set": list[int], "benchmarks": list[str],
+    "delta_grid": list[float], "kappa_r_grid": list[float], "kappa_f_grid": list[float],
     "sparsity": bool,
 }
+
+
+def _has_type(value, typ) -> bool:
+    """Whether a parsed config value has the declared type; an int passes as a float."""
+    if typing.get_origin(typ) is list:
+        (item,) = typing.get_args(typ)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if typ is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is typ
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +77,10 @@ def read_config(path) -> dict:
                 cfg[key] = json.loads(value)
             except json.JSONDecodeError:
                 cfg[key] = value
+            typ = CONFIG_KEYS[key]
+            if not _has_type(cfg[key], typ):
+                name = typ.__name__ if isinstance(typ, type) else str(typ)
+                raise FormatError(f"{path}: line {lineno}: {key!r} needs a {name}, got {value}")
     return cfg
 
 

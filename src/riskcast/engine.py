@@ -60,7 +60,7 @@ class RunConfig:
     alpha: float = 0.99
     alpha_ord: float = 0.99
     ordering: str = "learn"                 # "learn" | "fixed"
-    ordering_cap: int = ORDERING_CAP
+    ordering_cap: int = ORDERING_CAP        # caps the factor count K, not the K! orderings
     sparsity: bool = True
     strategy: str = "mvp"                   # "mvp" | "gmv" | "constrained"
     max_weight: float | None = None
@@ -172,7 +172,7 @@ def _normalize_rows(lp: np.ndarray) -> np.ndarray:
 
 
 class _DynamicFactorFilter:
-    """Batched state of the full model: asset pools plus per-ordering factor pools."""
+    """Batched state of the full model: asset pools plus per-position factor pools."""
 
     def __init__(self, panel: ReturnPanel, config: RunConfig):
         self.config = config
@@ -221,24 +221,28 @@ class _DynamicFactorFilter:
                 if (m >> i) & 1:
                     self.include_mask[gi * self.P_r:(gi + 1) * self.P_r, i] = 1.0
 
-        # factor pools: one group per position, batched across orderings
+        # factor pools: group j holds each distinct equation of position j
+        # once, its parents in sorted order (the group's idx only sets the
+        # regression dimension); factor_eq[j][o] is the member that ordering
+        # o uses there
         deltas_f = [d for d in config.delta_grid for _ in config.kappa_f_grid]
         kappas_f = [k for _ in config.delta_grid for k in config.kappa_f_grid]
         self.P_f = len(deltas_f)
-        self.factor_groups = []
-        self.factor_log_probs = []
-        s0_fits: dict[tuple[tuple[int, ...], int], float] = {}   # (parents, target) -> s0
+        self.factor_groups, self.factor_log_probs = [], []
+        self.factor_parents, self.factor_targets, self.factor_eq = [], [], []
         for jj in range(self.K):
-            s0 = np.empty(self.n_ord)
-            for o, perm in enumerate(perms):
-                key = (tuple(sorted(perm[:jj])), perm[jj])
-                if key not in s0_fits:
-                    X = np.column_stack([np.ones(train), self.F[:train, list(key[0])]])
-                    s0_fits[key] = float(_ols_residual_variance(self.F[:train, key[1]], X))
-                s0[o] = s0_fits[key]
-            self.factor_groups.append(PoolGroup(list(range(jj)), self.n_ord,
+            eqs = [(tuple(sorted(perm[:jj])), perm[jj]) for perm in perms]
+            keys = sorted(set(eqs))
+            s0 = []
+            for pa, target in keys:
+                X = np.column_stack([np.ones(train), self.F[:train, list(pa)]])
+                s0.append(_ols_residual_variance(self.F[:train, target], X))
+            self.factor_eq.append(np.array([keys.index(eq) for eq in eqs]))
+            self.factor_parents.append(np.array([pa for pa, _ in keys], dtype=int))
+            self.factor_targets.append(np.array([target for _, target in keys]))
+            self.factor_groups.append(PoolGroup(list(range(jj)), len(keys),
                                                 deltas_f, kappas_f, s0))
-            self.factor_log_probs.append(np.full((self.n_ord, self.P_f), -np.log(self.P_f)))
+            self.factor_log_probs.append(np.full((len(keys), self.P_f), -np.log(self.P_f)))
 
         self._executor = (ThreadPoolExecutor(max_workers=config.threads)
                           if config.threads > 1 else None)
@@ -265,18 +269,20 @@ class _DynamicFactorFilter:
         cfg = self.config
         self._map(lambda g: g.evolve(), self.asset_groups + self.factor_groups)
 
-        # factor block: select per (ordering, position) on predicted probabilities
-        priors, sel_f, lp_pred_f = [], [], []
-        rows = np.arange(self.n_ord)
-        for jj in range(self.K):
+        # factor block: select per equation on predicted probabilities, then
+        # gather each ordering's equations
+        priors, parents, sel_f, lp_pred_f = [], [], [], []
+        for jj, grp in enumerate(self.factor_groups):
             lp_pred = _normalize_rows(cfg.alpha * self.factor_log_probs[jj])
             sel = np.argmax(lp_pred, axis=1)
+            eq = self.factor_eq[jj]
             sel_f.append(sel)
             lp_pred_f.append(lp_pred)
-            priors.append(self.factor_groups[jj].selected(rows, sel))
+            priors.append(grp.selected(eq, sel[eq]))
+            parents.append(self.factor_parents[jj][eq])
         a_sel, R_sel, r_sel, s_sel = zip(*priors)
-        lam_o, sig_o = recursive_factor_moments(self.perms, a_sel, R_sel, r_sel, s_sel)
-        if np.any(np.concatenate([np.atleast_1d(r) for r in r_sel]) <= DOF_FLOOR):
+        lam_o, sig_o = recursive_factor_moments(parents, self.perms.T, a_sel, R_sel, r_sel, s_sel)
+        if np.any(np.concatenate(r_sel) <= DOF_FLOOR):
             warnings.warn("factor equation degrees of freedom at the floor", RuntimeWarning)
         lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
         lam, sig = mixture_factor_moments(lp_ord_pred, lam_o, sig_o)
@@ -284,6 +290,8 @@ class _DynamicFactorFilter:
         # asset block: select per asset on predicted probabilities
         lp_pred_assets = _normalize_rows(cfg.alpha * self.asset_log_probs)
         sel_assets = np.argmax(lp_pred_assets, axis=1)
+        if np.any(np.concatenate([g.r for g in self.asset_groups])[sel_assets] <= DOF_FLOOR):
+            warnings.warn("asset equation degrees of freedom at the floor", RuntimeWarning)
         mean, B, idio = batched_asset_moments(self.asset_groups, sel_assets, lam, sig)
         selection = (sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f)
         return mean, B, idio, lam, sig, selection
@@ -300,17 +308,12 @@ class _DynamicFactorFilter:
 
         # factor pools
         joint = np.zeros(self.n_ord)
-        rows = np.arange(self.n_ord)
-        for jj in range(self.K):
-            grp = self.factor_groups[jj]
-            if jj == 0:
-                Freg = np.ones(1)
-            else:
-                Freg = np.column_stack([np.ones(self.n_ord), yF[self.perms[:, :jj]]])
-            y = yF[self.perms[:, jj]]
-            f, q = grp.forecast(Freg)
+        for jj, grp in enumerate(self.factor_groups):
+            pa, eq = self.factor_parents[jj], self.factor_eq[jj]
+            y = yF[self.factor_targets[jj]]
+            f, q = grp.forecast(np.column_stack([np.ones(len(pa)), yF[pa]]))
             dens = grp.log_densities(y, f, q)
-            joint += dens[rows, sel_f[jj]]
+            joint += dens[eq, sel_f[jj][eq]]
             self.factor_log_probs[jj] = _normalize_rows(lp_pred_f[jj] + dens)
             grp.update(y, f, q)
         self.ordering_log_probs = _normalize_rows(lp_ord_pred + joint)

@@ -1,11 +1,13 @@
 """Dynamic learning over permutations of the factor block.
 
 The triangular dependency structure makes factor forecasts depend on the
-order in which the factors enter the system.  All K! orderings of the factor
-block are filtered side by side; ordering probabilities follow the same
-forget-then-Bayes recursion as model probabilities (the engine runs both on
-one normalizer), and factor predictive moments are averaged across orderings
-(law of total mean and variance) rather than selected.
+order in which the factors enter the system.  The K! orderings share their
+equations (position j regresses a factor on the j placed before it), so the
+engine filters each distinct (parent set, target) equation once.  Ordering
+probabilities follow the same forget-then-Bayes recursion as model
+probabilities (the engine runs both on one normalizer), and factor predictive
+moments are averaged across orderings (law of total mean and variance) rather
+than selected.
 
 The engine runs ``enumerate_orderings`` and ``mixture_factor_moments``.
 It does not run ``to_canonical``: that is part of the scalar

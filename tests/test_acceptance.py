@@ -172,8 +172,10 @@ def test_criterion_3_moment_oracle():
                                         A @ A.T + 0.01 * np.eye(d),
                                         float(rng.uniform(10, 30)),
                                         float(rng.uniform(1e-4, 1e-3)))))
+        perm_row = np.array([perm])
         lam, sig_f = recursive_factor_moments(
-            np.array([perm]), [pr.a[None] for pr in fpriors], [pr.R[None] for pr in fpriors],
+            [perm_row[:, :j] for j in range(K)], perm_row.T,
+            [pr.a[None] for pr in fpriors], [pr.R[None] for pr in fpriors],
             [np.array([pr.r]) for pr in fpriors], [np.array([pr.s_prev]) for pr in fpriors])
         lam, sig_f = lam[0], sig_f[0]
         asset_mean, asset_cov = _batched_asset_moments(sels, lam, sig_f)

@@ -187,6 +187,11 @@ class TestWishartDLM:
         expected = (state.c / state.delta + 1.0) * 0.1 * r / (r - 2.0)
         assert cov[0, 0] == pytest.approx(expected)
 
+    def test_low_dof_raises(self):
+        # r = kappa * n = 0.2 * 10 = 2 leaves no predictive variance
+        with pytest.raises(MomentError, match=r"dof > 2, got r=2\.0"):
+            wishart_dlm_step(initial_wishart_state(3, kappa=0.2), np.zeros(3))
+
 
 class TestFactorWishartDLM:
     def test_predictions_precede_updates(self):

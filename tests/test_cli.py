@@ -165,6 +165,16 @@ class TestReadConfig:
         with pytest.raises(FormatError):
             read_config(cfg)
 
+    @pytest.mark.parametrize("line", ["tau = abc", 'threads = "two"', "tc = 5",
+                                      "tc = [5, \"x\"]", "sparsity = 1", "threads = 2.5"])
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 1\n" + line + "\n")   # an int passes as a float
+        key = line.split()[0]
+        with pytest.raises(FormatError, match=f"c.cfg: line 2: '{key}' needs a"):
+            read_config(cfg)
+        assert main(["backtest", "--config", str(cfg)]) == 2
+
     def test_seed_is_not_a_run_setting(self, tmp_path):
         # the model draws nothing at random; only ``simulate`` takes a seed
         cfg = tmp_path / "c.cfg"

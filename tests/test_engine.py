@@ -1,5 +1,7 @@
 """Engine orchestration: oracle compositions, determinism, timing discipline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
@@ -116,7 +118,9 @@ class TestBatchedKernelEquivalence:
             r_sel.append(r)
             s_sel.append(s)
             ref.append((a, Rm, r, s))
-        lam, sig = recursive_factor_moments(perms, a_sel, R_sel, r_sel, s_sel)
+        # position j regresses perms[:, j] on perms[:, :j], coefficients in that order
+        lam, sig = recursive_factor_moments([perms[:, :j] for j in range(K)], perms.T,
+                                            a_sel, R_sel, r_sel, s_sel)
         for o, perm in enumerate(perms):
             priors = [dlm.PriorState(ref[j][0][o], ref[j][1][o], float(ref[j][2][o]),
                                      float(ref[j][3][o])) for j in range(K)]
@@ -400,12 +404,25 @@ class TestEngineBehaviors:
                 X = np.column_stack([np.ones(train), panel.F[:train, list(perm[:jj])]])
                 y = panel.F[:train, perm[jj]]
                 coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-                assert grp.s[o, 0] == pytest.approx((y - X @ coef).var(), rel=1e-12)
+                eq = flt.factor_eq[jj][o]
+                assert grp.s[eq, 0] == pytest.approx((y - X @ coef).var(), rel=1e-12)
         X = np.column_stack([np.ones(train), panel.F[:train]])
         for j in range(panel.n_assets):
             coef, *_ = np.linalg.lstsq(X, panel.R[:train, j], rcond=None)
             resid = panel.R[:train, j] - X @ coef
             assert flt.asset_groups[0].s[j, 0] == pytest.approx(resid.var(), rel=1e-12)
+
+    @pytest.mark.parametrize("block, grid", [("asset", "kappa_r_grid"),
+                                             ("factor", "kappa_f_grid")])
+    def test_dof_floor_hits_warn(self, block, grid):
+        # kappa = 0.5 drives r = kappa n toward 1, below DOF_FLOOR, in one block only
+        panel = small_panel(seed=5, N=4, K=2, T=60, train=30)
+        with pytest.warns(RuntimeWarning, match=f"{block} equation degrees of freedom") as rec:
+            run_backtest(panel, RunConfig(**{grid: (0.5,)}))
+        assert {str(w.message).split()[0] for w in rec} == {block}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_backtest(panel, RunConfig())
 
     def test_report_header_records_conventions(self):
         panel = small_panel(seed=15)

@@ -62,17 +62,19 @@ class TestUpdateOrderingProbs:
         e = np.e
         np.testing.assert_allclose(np.exp(lp), [e / (1 + e), 1 / (1 + e)], atol=1e-12)
 
-    def test_cumulative_product_oracle(self):
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_cumulative_product_oracle(self, K):
         # alpha_ord = 1: the engine's ordering posterior equals the normalized
         # cumulative joint factor densities, here from scalar filters per
-        # (ordering, position) with one spec each
-        panel = factor_panel(K=2, seed=4)
+        # (ordering, position) with one spec each; at K = 3 orderings share
+        # equations, which the engine filters once
+        panel = factor_panel(K=K, seed=4)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn", alpha_ord=1.0,
                                                     delta_grid=(1.0,), kappa_f_grid=(1.0,)))
         train = panel.train_len
         states = {}
         for o, perm in enumerate(flt.perms):
-            for j in range(2):
+            for j in range(K):
                 X = np.column_stack([np.ones(train), panel.F[:train, perm[:j]]])
                 y = panel.F[:train, perm[j]]
                 coef, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -81,13 +83,38 @@ class TestUpdateOrderingProbs:
         for t in range(panel.T):
             flt.update_step(t, flt.forecast_step()[-1])
             for o, perm in enumerate(flt.perms):
-                for j in range(2):
+                for j in range(K):
                     F = np.concatenate(([1.0], panel.F[t, perm[:j]]))
                     y = float(panel.F[t, perm[j]])
                     prior = dlm.evolve(states[o, j], 1.0, 1.0)
                     cum[o] += dlm.log_predictive_density(dlm.forecast(prior, F), y)
                     states[o, j] = dlm.update(prior, F, y)
             np.testing.assert_allclose(flt.ordering_log_probs, cum - logsumexp(cum), atol=1e-8)
+
+    def test_learned_moments_mix_the_fixed_orderings(self):
+        # every ordering of a learned filter runs like a fixed-ordering filter
+        # over the factors taken in that order, so the learned factor moments
+        # are the mixture of those filters' moments under the forgotten
+        # ordering probabilities; the engine filters shared equations once.
+        # K = 4 puts three parents at the last position, so a mismatch between
+        # coefficient order and parent order cannot cancel out
+        panel = factor_panel(K=4, seed=6)
+        grids = dict(delta_grid=(0.95, 1.0), kappa_f_grid=(0.999, 1.0), sparsity=False)
+        learned = _DynamicFactorFilter(panel, RunConfig(ordering="learn", **grids))
+        fixed = [_DynamicFactorFilter(panel, RunConfig(ordering="fixed", factor_set=tuple(perm),
+                                                       **grids))
+                 for perm in learned.perms]
+        for t in range(panel.T):
+            *_, lam, sig, selection = learned.forecast_step()
+            moments = []
+            for perm, flt in zip(learned.perms, fixed):
+                *_, lam_o, sig_o, sel_o = flt.forecast_step()
+                moments.append(to_canonical(perm, lam_o, sig_o))
+                flt.update_step(t, sel_o)
+            lam_mix, sig_mix = mixture_factor_moments(selection[2], *zip(*moments))
+            np.testing.assert_allclose(lam, lam_mix, rtol=1e-11, atol=1e-15)
+            np.testing.assert_allclose(sig, sig_mix, rtol=1e-11, atol=1e-15)
+            learned.update_step(t, selection)
 
 
 class TestMixtureMoments:

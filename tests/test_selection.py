@@ -62,12 +62,29 @@ class TestBuildPool:
 
     def test_factor_equation_space(self):
         # enumeration oracle: one full mask over the preceding factors
-        # x 3 deltas x 2 kappas = 6 models at every position
+        # x 3 deltas x 2 kappas = 6 models at every position; a fixed
+        # ordering has one equation per position
         flt = make_filter(K=3, delta_grid=(0.95, 0.975, 1.0), kappa_f_grid=(0.999, 1.0))
         for jj, grp in enumerate(flt.factor_groups):
             assert list(grp.idx) == list(range(jj))
             assert grp.P == 6
-            assert flt.factor_log_probs[jj].shape == (flt.n_ord, 6)
+            assert grp.n_eq == 1
+            assert flt.factor_log_probs[jj].shape == (1, 6)
+            assert flt.factor_parents[jj].tolist() == [list(range(jj))]
+            assert flt.factor_targets[jj].tolist() == [jj]
+        # learned orderings share equations: position j holds each (sorted
+        # parent set, target) once, C(K, j) (K - j) members, K 2^(K-1) in all
+        K = 4
+        flt = _DynamicFactorFilter(panel_with(K), RunConfig(ordering="learn"))
+        assert [grp.n_eq for grp in flt.factor_groups] == [4, 12, 12, 4]
+        assert sum(grp.n_eq for grp in flt.factor_groups) == K * 2 ** (K - 1)
+        for jj, grp in enumerate(flt.factor_groups):
+            assert flt.factor_log_probs[jj].shape == (grp.n_eq, grp.P)
+            members = list(zip(map(tuple, flt.factor_parents[jj].tolist()),
+                               flt.factor_targets[jj].tolist()))
+            assert len(set(members)) == grp.n_eq
+            for o, perm in enumerate(flt.perms):
+                assert members[flt.factor_eq[jj][o]] == (tuple(sorted(perm[:jj])), perm[jj])
 
     def test_zero_factor_asset_equation_rejected(self):
         with pytest.raises(ParameterError, match="factor_set"):
