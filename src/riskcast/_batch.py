@@ -3,15 +3,26 @@
 Pool members are stacked into arrays so that every equation with the same
 regression dimension advances in one set of array operations: axis ``b``
 runs over equations (assets sharing a parent mask, or the distinct factor
-equations of one ordering position), axis ``p`` over discount combinations.
-The state is stored component-major, with the regression dimensions leading:
-``m`` is (d, b, p) and ``C`` is (d, d, b, p), so every elementwise pass runs
-over contiguous b x p planes.  The recursions are the same as in the ``dlm``
-module; the test suite asserts equivalence against the per-state reference
-kernel.
+equations of one ordering position).  Every equation is filtered under each
+pair of a loading discount delta and a volatility discount kappa.
+
+Under variance discounting the posterior mean m and the scaled covariance
+C / s do not depend on kappa, which enters only s and the degrees of freedom
+n (West & Harrison 1997, sec. 10.8; Prado & West 2010, sec. 4.3).  So m and
+the scale-free covariance C+ = C s0 / s are kept once per delta, and s once
+per (delta, kappa); s0 is the equation's prior scale.  Scaling by s0 / s
+rather than 1 / s starts C+ at exactly c0 I, so the diffuse first updates
+keep the arithmetic of an unscaled filter instead of amplifying the rounding
+in s0 by c0 / s0.
+
+Equations are the contiguous innermost axis: ``_m`` is (d, Pd, b), ``_C`` is
+(d, d, Pd, b) and ``_s`` is (Pd, Pk, b) for Pd deltas and Pk kappas, so
+elementwise passes run over rows of b, with per-delta and per-kappa factors
+broadcast over them.  The recursions are those of the ``dlm`` module; the
+test suite asserts equivalence against that per-state reference kernel.
 
 Degrees of freedom evolve as n <- kappa * n + 1 independently of the data,
-so ``n`` is stored once per discount combination rather than per equation.
+so ``n`` is stored once per discount pair rather than per equation.
 """
 
 from __future__ import annotations
@@ -41,17 +52,27 @@ class PoolGroup:
     """States of all pool members with one regression dimension.
 
     ``idx`` holds the parent factor indices, when the members share them;
-    the regression dimension is d = 1 + len(idx).  The state lives
-    component-major in ``_m`` (d, b, p) and ``_C`` (d, d, b, p), with
-    s (b, p) and n (p,).  ``m`` and ``C`` read it as (b, p, d[, d]) views.
+    the regression dimension is d = 1 + len(idx).  ``deltas`` and
+    ``kappas`` are the two discount grids.  Their P = Pd * Pk pairs are the
+    specs, numbered p = i_delta * Pk + i_kappa; n and r are (P,).
+
+    With regressor F and e = y - F'm, one step is, once per delta,
+        q+ = s0 + F'C+F / delta,   A = C+F / (delta q+),
+        m <- m + A e,   C+ <- C+ / delta - A A' q+,
+    and once per (delta, kappa), with q = q+ s_prev / s0 the forecast
+    variance, z = (r + e^2 / q) / (r + 1) and s <- s z.  Writing
+    C = C+ s / s0, these are the ``dlm`` recursions of every spec.
 
     The evolution has identity transition, so it moves nothing: the prior
-    mean ``a`` is ``m`` and the prior scale ``R`` is C / delta, which
-    ``forecast`` and ``update`` fold in instead of materializing.  ``update``
-    advances the state in place, so ``a``, ``R`` and ``s_prev`` describe the
-    prior only between ``evolve`` and ``update``.  C stays exactly
-    symmetric: the update scales it elementwise and subtracts the outer
-    product g g', whose (i, j) and (j, i) entries are the same product.
+    mean is m and the prior scale R is C / delta, which ``forecast`` and
+    ``update`` fold in instead of materializing.  ``update`` advances the
+    state in place, so ``s_prev`` (an alias of ``_s``) holds the prior scale
+    only between ``evolve`` and ``update``.  C+ stays exactly symmetric: the
+    update scales it elementwise and subtracts the outer product g g', whose
+    (i, j) and (j, i) entries are the same product.
+
+    ``m``, ``C`` and ``s`` return the state per spec, as (b, P, d),
+    (b, P, d, d) and (b, P) arrays; the first two are copies.
     """
 
     def __init__(self, idx, n_eq: int, deltas, kappas, s0, c0: float = 100.0,
@@ -60,89 +81,97 @@ class PoolGroup:
         self.d = 1 + self.idx.size
         self.deltas = np.asarray(deltas, float)
         self.kappas = np.asarray(kappas, float)
-        self.P = self.deltas.size
+        n_d, n_k = self.deltas.size, self.kappas.size
+        self.P = n_d * n_k
         self.n_eq = n_eq
-        self._m = np.zeros((self.d, n_eq, self.P))
-        self._C = np.zeros((self.d, self.d, n_eq, self.P))
+        self._delta = self.deltas[:, None]          # broadcasts over (Pd, b)
+        self._kappa = np.tile(self.kappas, n_d)     # per spec
+        self.s0 = np.broadcast_to(np.asarray(s0, float), (n_eq,)).copy()
+        self._m = np.zeros((self.d, n_d, n_eq))
+        self._C = np.zeros((self.d, self.d, n_d, n_eq))
         diag = np.arange(self.d)
         self._C[diag, diag] = c0
-        s0 = np.broadcast_to(np.asarray(s0, float), (n_eq,))
-        self.s = np.repeat(s0[:, None], self.P, axis=1)
+        self._s = np.broadcast_to(self.s0, (n_d, n_k, n_eq)).copy()
         self.n = np.full(self.P, n0)
         # evolved prior quantities, populated by evolve()
-        self.r = None
+        self.r = self._r = None     # r per spec (P,), and as (Pd, Pk, 1)
+        self._r_shape = (n_d, n_k, 1)
         self.s_prev = None
-        self._CF = None     # C F from forecast(), consumed by update()
+        self._CF = self._qs = None  # C+F and q+ from forecast(), consumed by update()
 
     @property
     def m(self) -> np.ndarray:
-        return np.moveaxis(self._m, 0, -1)
-
-    @m.setter
-    def m(self, value) -> None:
-        self._m[...] = np.moveaxis(np.asarray(value, float), -1, 0)
-
-    a = m
+        return np.repeat(self._m, self.kappas.size, axis=1).T
 
     @property
     def C(self) -> np.ndarray:
-        return self._C.transpose(2, 3, 0, 1)
+        C = self._C[:, :, :, None, :] * (self._s / self.s0)
+        return C.reshape(self.d, self.d, self.P, self.n_eq).transpose(3, 2, 0, 1)
 
     @property
-    def R(self) -> np.ndarray:
-        return self.C / self.deltas[None, :, None, None]
+    def s(self) -> np.ndarray:
+        return self._s.reshape(self.P, self.n_eq).T
 
     def evolve(self) -> None:
-        self.r = self.kappas * self.n
-        self.s_prev = self.s
+        self.r = self._kappa * self.n
+        self._r = self.r.reshape(self._r_shape)
+        self.s_prev = self._s
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Forecast mean and variance factor; F is (d,) shared or (b, d)."""
+        """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b); F is (d,)
+        shared or (b, d)."""
         if F.ndim == 1:
-            # C is symmetric, so contracting its first index gives C F
+            # C+ is symmetric, so contracting its first index gives C+ F
             CF = (F @ self._C.reshape(self.d, -1)).reshape(self._m.shape)
-            f = (F @ self._m.reshape(self.d, -1)).reshape(self.s.shape)
-            FCF = (F @ CF.reshape(self.d, -1)).reshape(self.s.shape)
+            f = (F @ self._m.reshape(self.d, -1)).reshape(self._m.shape[1:])
+            FCF = (F @ CF.reshape(self.d, -1)).reshape(f.shape)
         else:
-            CF = np.einsum("ijbp,bj->ibp", self._C, F)
-            f = np.einsum("ibp,bi->bp", self._m, F)
-            FCF = np.einsum("ibp,bi->bp", CF, F)
-        q = self.s_prev + FCF / self.deltas
-        if np.any(q <= 0):
+            CF = np.einsum("ijpb,bj->ipb", self._C, F)
+            f = np.einsum("ipb,bi->pb", self._m, F)
+            FCF = np.einsum("ipb,bi->pb", CF, F)
+        qs = self.s0 + FCF / self._delta
+        if qs.min() <= 0:
             raise NumericError("non-positive forecast variance in batched filter")
-        self._CF = CF
-        return f, q
+        self._CF, self._qs = CF, qs
+        return f[:, None], (qs / self.s0)[:, None] * self.s_prev
 
     def log_densities(self, y, f, q) -> np.ndarray:
-        dof = self.r[None, :]
-        log_norm = gammaln((self.r + 1.0) / 2.0) - gammaln(self.r / 2.0)
-        return t_logpdf_grid(np.asarray(y, float).reshape(-1, 1), f, q, dof, log_norm[None, :])
+        """Log predictive densities per equation and spec, (b, P)."""
+        r = self._r
+        log_norm = gammaln((r + 1.0) / 2.0) - gammaln(r / 2.0)
+        lp = t_logpdf_grid(np.asarray(y, float), f, q, r, log_norm)
+        return lp.reshape(self.P, self.n_eq).T
 
     def update(self, y, f: np.ndarray, q: np.ndarray) -> None:
         """Posterior update in place, given the realized y and the forecast (f, q).
 
-        Uses the C F of the preceding ``forecast`` call, so the regressor is
-        the one given there.
+        Uses the C+F and q+ of the preceding ``forecast`` call, so the
+        regressor is the one given there.
         """
-        e = np.asarray(y, float).reshape(-1, 1) - f
-        r = self.r
+        e = np.asarray(y, float) - f
+        r = self._r
         z = (r + e * e / q) / (r + 1.0)
-        A = self._CF
-        self._CF = None
-        A /= self.deltas * q            # adaptive vector R F / q
-        self._m += A * e
-        A *= np.sqrt(q * z)             # g, with g g' = A A' q z
-        self._C *= z / self.deltas
+        A, qs = self._CF, self._qs
+        self._CF = self._qs = None
+        A /= self._delta * qs           # adaptive vector C+F / (delta q+)
+        self._m += A * e[:, 0]
+        A *= np.sqrt(qs)                # g, with g g' = A A' q+
+        self._C /= self._delta
         self._C -= A[:, None] * A[None, :]
-        self.s *= z
-        self.n = r + 1.0
+        self._s *= z
+        self.n = self.r + 1.0
 
     def selected(self, members: np.ndarray, p_idx: np.ndarray):
-        """Gather the evolved prior of chosen members: (a, R, r, s_prev)."""
-        a = self._m[:, members, p_idx].T
-        R = (self._C[:, :, members, p_idx].transpose(2, 0, 1)
-             / self.deltas[p_idx][:, None, None])
-        return a, R, self.r[p_idx], self.s_prev[members, p_idx]
+        """Gather the evolved prior of chosen members: (a, R, r, s_prev).
+
+        ``p_idx`` is the spec of each member; R = C+ s_prev / (s0 delta).
+        """
+        di = p_idx // self.kappas.size
+        s_prev = self.s_prev.reshape(self.P, self.n_eq)[p_idx, members]
+        a = self._m[:, di, members].T
+        R = (self._C[:, :, di, members].transpose(2, 0, 1)
+             * (s_prev / (self.s0[members] * self.deltas[di]))[:, None, None])
+        return a, R, self.r[p_idx], s_prev
 
 
 def recursive_factor_moments(parents, targets, a_sel, R_sel, r_sel, s_sel,
@@ -166,12 +195,14 @@ def recursive_factor_moments(parents, targets, a_sel, R_sel, r_sel, s_sel,
     S = np.zeros((n_ord, K + 1, K + 1))
     S[:, 0, 0] = 1.0
     rows = np.arange(n_ord)[:, None]
+    # flat offsets into S, so the (o, j+1, j+1) gather is one 1-D take
+    base = rows[:, :, None] * S[0].size
     const = np.zeros((n_ord, 1), dtype=int)
     for pa, tg, a, R, r, s in zip(parents, targets, a_sel, R_sel, r_sel, s_sel):
         r = np.maximum(r, dof_floor)
         X = np.concatenate((const, pa + 1), axis=1)
         y = tg[:, None] + 1
-        SX = S[rows[:, :, None], X[:, :, None], X[:, None, :]]
+        SX = S.reshape(-1).take(base + X[:, :, None] * (K + 1) + X[:, None, :])
         yX = np.einsum("oij,oj->oi", SX, a)
         S[rows, y, X] = yX
         S[rows, X, y] = yX

@@ -180,7 +180,7 @@ class FactorWishartDLM:
                  delta: float = 0.997, kappa: float = 0.99, s0_diag: float = 0.1):
         self.factor_state = initial_wishart_state(n_factors, s0_diag, delta, kappa)
         s0 = np.maximum(np.broadcast_to(np.asarray(s0_assets, float), (n_assets,)), 1e-12)
-        self.assets = _batch.PoolGroup(np.arange(n_factors), n_assets, [delta], [kappa], s0)
+        self.assets = _batch.PoolGroup(np.arange(n_factors), n_assets, (delta,), (kappa,), s0)
         self._sel = np.zeros(n_assets, dtype=int)
 
     def step(self, y_factors: np.ndarray, y_assets: np.ndarray

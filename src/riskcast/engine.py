@@ -201,16 +201,14 @@ class _DynamicFactorFilter:
         self.ordering_log_probs = np.full(self.n_ord, -np.log(self.n_ord))
 
         # asset pools: one group per parent mask, shared spec layout across assets
-        deltas_r = [d for d in config.delta_grid for _ in config.kappa_r_grid]
-        kappas_r = [k for _ in config.delta_grid for k in config.kappa_r_grid]
-        self.P_r = len(deltas_r)
+        self.P_r = len(config.delta_grid) * len(config.kappa_r_grid)
         masks = list(range(1, 1 << self.K)) if config.sparsity else [(1 << self.K) - 1]
         self.masks = masks
         Xfull = np.column_stack([np.ones(train), self.F[:train]])
         self.s0_assets = _ols_residual_variance(self.R[:train], Xfull)
         self.asset_groups = [
             PoolGroup([i for i in range(self.K) if (m >> i) & 1], self.N,
-                      deltas_r, kappas_r, self.s0_assets)
+                      config.delta_grid, config.kappa_r_grid, self.s0_assets)
             for m in masks
         ]
         n_specs = len(masks) * self.P_r
@@ -225,9 +223,7 @@ class _DynamicFactorFilter:
         # once, its parents in sorted order (the group's idx only sets the
         # regression dimension); factor_eq[j][o] is the member that ordering
         # o uses there
-        deltas_f = [d for d in config.delta_grid for _ in config.kappa_f_grid]
-        kappas_f = [k for _ in config.delta_grid for k in config.kappa_f_grid]
-        self.P_f = len(deltas_f)
+        self.P_f = len(config.delta_grid) * len(config.kappa_f_grid)
         self.factor_groups, self.factor_log_probs = [], []
         self.factor_parents, self.factor_targets, self.factor_eq = [], [], []
         for jj in range(self.K):
@@ -241,7 +237,7 @@ class _DynamicFactorFilter:
             self.factor_parents.append(np.array([pa for pa, _ in keys], dtype=int))
             self.factor_targets.append(np.array([target for _, target in keys]))
             self.factor_groups.append(PoolGroup(list(range(jj)), len(keys),
-                                                deltas_f, kappas_f, s0))
+                                                config.delta_grid, config.kappa_f_grid, s0))
             self.factor_log_probs.append(np.full((len(keys), self.P_f), -np.log(self.P_f)))
 
         self._executor = (ThreadPoolExecutor(max_workers=config.threads)
@@ -270,10 +266,12 @@ class _DynamicFactorFilter:
         self._map(lambda g: g.evolve(), self.asset_groups + self.factor_groups)
 
         # factor block: select per equation on predicted probabilities, then
-        # gather each ordering's equations
+        # gather each ordering's equations.  The predicted log probabilities
+        # of the equation pools stay unnormalized: argmax ignores the row
+        # constant, and update_step normalizes after adding the densities.
         priors, parents, sel_f, lp_pred_f = [], [], [], []
         for jj, grp in enumerate(self.factor_groups):
-            lp_pred = _normalize_rows(cfg.alpha * self.factor_log_probs[jj])
+            lp_pred = cfg.alpha * self.factor_log_probs[jj]
             sel = np.argmax(lp_pred, axis=1)
             eq = self.factor_eq[jj]
             sel_f.append(sel)
@@ -288,7 +286,7 @@ class _DynamicFactorFilter:
         lam, sig = mixture_factor_moments(lp_ord_pred, lam_o, sig_o)
 
         # asset block: select per asset on predicted probabilities
-        lp_pred_assets = _normalize_rows(cfg.alpha * self.asset_log_probs)
+        lp_pred_assets = cfg.alpha * self.asset_log_probs
         sel_assets = np.argmax(lp_pred_assets, axis=1)
         if np.any(np.concatenate([g.r for g in self.asset_groups])[sel_assets] <= DOF_FLOOR):
             warnings.warn("asset equation degrees of freedom at the floor", RuntimeWarning)
@@ -296,11 +294,10 @@ class _DynamicFactorFilter:
         selection = (sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f)
         return mean, B, idio, lam, sig, selection
 
-    def update_step(self, t: int, selection) -> tuple[float, np.ndarray]:
+    def update_step(self, t: int, selection) -> float:
         """Observe date t, update probabilities and states everywhere.
 
-        Returns (asset-block log predictive density of the selected models,
-        posterior inclusion probabilities (N, K)).
+        Returns the asset-block log predictive density of the selected models.
         """
         sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f = selection
         yF = self.F[t]
@@ -330,9 +327,12 @@ class _DynamicFactorFilter:
         dens_groups = self._map(advance, list(enumerate(self.asset_groups)))
         dens_all = np.concatenate(dens_groups, axis=1)
         self.asset_log_probs = _normalize_rows(lp_pred_assets + dens_all)
-        lpd = float(dens_all[np.arange(self.N), sel_assets].sum())
-        inclusion = np.exp(self.asset_log_probs) @ self.include_mask
-        return lpd, inclusion
+        return float(dens_all[np.arange(self.N), sel_assets].sum())
+
+    def inclusion(self) -> np.ndarray:
+        """Posterior inclusion probability of each factor in each asset's
+        parent set, (N, K)."""
+        return np.exp(self.asset_log_probs) @ self.include_mask
 
 
 def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
@@ -372,11 +372,11 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                         start = weights[i - 1] if i > 0 else None
                         weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
                                                     start).w
-                lpd_t, incl_t = flt.update_step(t, selection)
+                lpd_t = flt.update_step(t, selection)
                 if evaluating:
                     i = t - train
                     lpd_series[i] = lpd_t
-                    inclusion[i] = incl_t
+                    inclusion[i] = flt.inclusion()
                     ord_lp[i] = flt.ordering_log_probs
             except RiskcastError as exc:
                 raise type(exc)(f"date {panel.dates[t]}: {exc}") from exc

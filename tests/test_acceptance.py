@@ -128,13 +128,14 @@ def _batched_asset_moments(sels, lam, sig):
     """Asset mean and covariance from ``batched_asset_moments``, assembled as
     the engine does.  Each equation's prior is loaded into a one-spec
     ``PoolGroup`` of its own, since a group holds one dof per spec and the
-    priors differ in r."""
+    priors differ in r.  With delta = 1 and s = s0 the stored scale-free
+    covariance C s0 / s is the prior scale R itself."""
     N = len(sels)
     groups = []
     for j, (idx, pr) in enumerate(sels):
         grp = PoolGroup(idx, N, [1.0], [1.0], pr.s_prev, n0=pr.r)
-        grp.m[j, 0] = pr.a
-        grp.C[j, 0] = pr.R
+        grp._m[:, 0, j] = pr.a
+        grp._C[:, :, 0, j] = pr.R
         grp.evolve()
         groups.append(grp)
     mean, B, idio = batched_asset_moments(groups, np.arange(N), lam, sig)

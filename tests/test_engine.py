@@ -24,45 +24,59 @@ def small_panel(seed=0, N=6, K=2, T=120, train=40):
     return generate_synthetic(spec)[0]
 
 
-def check_pool_group_against_reference(per_equation_regressors):
+def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1.0),
+                                       kappas=(0.99, 1.0), steps=15, jump_at=None,
+                                       tol=None, dens_tol=None):
     """Advance a PoolGroup and the scalar ``dlm`` kernel side by side.
 
     With ``per_equation_regressors`` every equation gets its own regressor
     row, F of shape (b, d), as the factor pools use it; otherwise F is one
-    (d,) vector shared by all equations, as in the asset pools.
+    (d,) vector shared by all equations, as in the asset pools.  From step
+    ``jump_at`` on, the observations' scale is 4 times larger.  ``tol`` and
+    ``dens_tol`` are the ``assert_allclose`` tolerances of the states and
+    forecasts and of the densities.
     """
+    tol = tol or dict(rtol=0, atol=1e-12)
+    dens_tol = dens_tol or dict(rtol=0, atol=1e-10)
     rng = np.random.default_rng(0)
-    deltas = [0.998, 1.0]
-    kappas = [0.99, 1.0]
-    P = len(deltas) * len(kappas)
-    dl = [d for d in deltas for _ in kappas]
-    kl = [k for _ in deltas for k in kappas]
+    specs = [(dl, kp) for dl in deltas for kp in kappas]    # the kernel's spec order
+    P = len(specs)
     s0 = rng.uniform(0.5, 2.0, size=3)
-    group = PoolGroup([0, 1], 3, dl, kl, s0)
+    group = PoolGroup([0, 1], 3, deltas, kappas, s0)
+    # one mean and covariance per delta, s per (delta, kappa)
+    assert group._m.shape == (3, len(deltas), 3)
+    assert group._C.shape == (3, 3, len(deltas), 3)
+    assert group.s.shape == (3, P)
     states = [[dlm.init_state(3, float(s0[b])) for _ in range(P)] for b in range(3)]
-    for _ in range(15):
+    for t in range(steps):
         if per_equation_regressors:
             Freg = np.column_stack([np.ones(3), rng.normal(size=(3, 2))])
         else:
             Freg = np.concatenate(([1.0], rng.normal(size=2)))
-        y = rng.normal(size=3)
+        y = rng.normal(size=3) * (4.0 if jump_at is not None and t >= jump_at else 1.0)
         group.evolve()
         f, q = group.forecast(Freg)
         dens = group.log_densities(y, f, q)
         group.update(y, f, q)
+        ref = {k: np.zeros((3, P)) for k in ("f", "q", "dens", "s")}
+        ref_m, ref_C = np.zeros((3, P, 3)), np.zeros((3, P, 3, 3))
         for b in range(3):
             Fb = Freg[b] if per_equation_regressors else Freg
-            for p in range(P):
-                prior = dlm.evolve(states[b][p], dl[p], kl[p])
+            for p, (dl, kp) in enumerate(specs):
+                prior = dlm.evolve(states[b][p], dl, kp)
                 fc = dlm.forecast(prior, Fb)
-                assert f[b, p] == pytest.approx(fc.f, abs=1e-12)
-                assert q[b, p] == pytest.approx(fc.q, abs=1e-12)
-                assert dens[b, p] == pytest.approx(
-                    dlm.log_predictive_density(fc, float(y[b])), abs=1e-10)
+                ref["f"][b, p], ref["q"][b, p] = fc.f, fc.q
+                ref["dens"][b, p] = dlm.log_predictive_density(fc, float(y[b]))
                 states[b][p] = dlm.update(prior, Fb, float(y[b]))
-                np.testing.assert_allclose(group.m[b, p], states[b][p].m, atol=1e-12)
-                np.testing.assert_allclose(group.C[b, p], states[b][p].C, atol=1e-12)
-                assert group.s[b, p] == pytest.approx(states[b][p].s, abs=1e-12)
+                ref_m[b, p], ref_C[b, p] = states[b][p].m, states[b][p].C
+                ref["s"][b, p] = states[b][p].s
+        # f is (Pd, 1, b) and q is (Pd, Pk, b); spec p = i_delta * Pk + i_kappa
+        np.testing.assert_allclose(np.broadcast_to(f, q.shape).reshape(P, 3).T, ref["f"], **tol)
+        np.testing.assert_allclose(q.reshape(P, 3).T, ref["q"], **tol)
+        np.testing.assert_allclose(dens, ref["dens"], **dens_tol)
+        np.testing.assert_allclose(group.m, ref_m, **tol)
+        np.testing.assert_allclose(group.C, ref_C, **tol)
+        np.testing.assert_allclose(group.s, ref["s"], **tol)
         np.testing.assert_allclose(group.n, [st.n for st in states[0]], atol=1e-12)
 
 
@@ -72,6 +86,14 @@ class TestBatchedKernelEquivalence:
 
     def test_pool_group_matches_reference_ops_per_equation_regressors(self):
         check_pool_group_against_reference(per_equation_regressors=True)
+
+    def test_pool_group_matches_reference_over_a_volatility_jump(self):
+        # the paper's 3 x 3 grid over a long run whose residual scale jumps
+        # 4x halfway, so the kappa < 1 specs' s and n move apart from kappa = 1
+        for per_equation_regressors in (False, True):
+            check_pool_group_against_reference(
+                per_equation_regressors, deltas=(0.95, 0.975, 1.0), kappas=(0.99, 0.995, 1.0),
+                steps=300, jump_at=150, tol=dict(rtol=1e-10), dens_tol=dict(rtol=1e-10))
 
     def test_covariance_stays_exactly_symmetric(self):
         # the update subtracts g g' instead of symmetrizing, so C - C' must be 0
@@ -137,8 +159,7 @@ class TestBatchedKernelEquivalence:
         for grp in groups:
             grp.evolve()
             # desynchronize states so the test is not trivial
-            grp.m += rng.normal(size=grp.m.shape) * 0.1
-            grp.a = grp.m
+            grp._m += rng.normal(size=grp._m.shape) * 0.1
         lam = rng.normal(size=K) * 0.01
         A = rng.normal(size=(K, K)) * 0.02
         sig = A @ A.T + 1e-4 * np.eye(K)
@@ -147,7 +168,8 @@ class TestBatchedKernelEquivalence:
         sels = []
         for j in range(N):
             g = groups[sel[j]]
-            prior = dlm.PriorState(g.a[j, 0], g.R[j, 0], float(g.r[0]), float(g.s_prev[j, 0]))
+            # delta = 1, so the prior scale R is C
+            prior = dlm.PriorState(g.m[j, 0], g.C[j, 0], float(g.r[0]), float(g.s[j, 0]))
             sels.append((g.idx, prior))
         ref = recouple.asset_moments(lam, sig, sels)
         np.testing.assert_allclose(mean, ref.asset_mean, atol=1e-13)

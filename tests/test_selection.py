@@ -1,11 +1,12 @@
 """Model spaces and dynamic model probabilities, as the engine runs them.
 
-Every pool forgets its log probabilities (times alpha, renormalized) in
-``forecast_step`` and Bayes-updates them with the kernel's one-step
-predictive densities in ``update_step``; both steps renormalize with
-``_normalize_rows``.  The tests drive ``_DynamicFactorFilter`` where the
-densities can come from the filters themselves, and ``_normalize_rows``
-where they are given.
+Every pool forgets its log probabilities (times alpha) in ``forecast_step``
+and Bayes-updates them with the kernel's one-step predictive densities in
+``update_step``, which renormalizes with ``_normalize_rows``; the forgotten
+probabilities are left unnormalized, since the update removes any row
+constant.  The tests drive ``_DynamicFactorFilter`` where the densities can
+come from the filters themselves, and ``_normalize_rows`` where they are
+given.
 """
 
 import numpy as np
@@ -31,10 +32,10 @@ def make_filter(K=2, N=2, **config):
 
 def forget(flt, log_probs):
     """The engine's forgetting step on given asset log probabilities:
-    (predicted log probabilities, selected spec per asset)."""
+    (predicted log probabilities, normalized, selected spec per asset)."""
     flt.asset_log_probs = np.asarray(log_probs, float)
     sel_assets, _, _, lp_pred, _ = flt.forecast_step()[-1]
-    return lp_pred, sel_assets
+    return _normalize_rows(lp_pred), sel_assets
 
 
 def update(predicted, log_densities):
@@ -173,8 +174,8 @@ class TestSelectBest:
 class TestInclusionProbability:
     def test_singleton_containing(self):
         flt = make_filter(K=1)
-        _, inclusion = flt.update_step(0, flt.forecast_step()[-1])
-        np.testing.assert_allclose(inclusion, 1.0, atol=1e-12)
+        flt.update_step(0, flt.forecast_step()[-1])
+        np.testing.assert_allclose(flt.inclusion(), 1.0, atol=1e-12)
 
     def test_uniform_enumeration_oracle(self):
         # masks {01, 10, 11}: with the probabilities left uniform by equal
@@ -183,15 +184,16 @@ class TestInclusionProbability:
         panel.F[:] = 0.0
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", delta_grid=(1.0,),
                                                     kappa_r_grid=(1.0,)))
-        _, inclusion = flt.update_step(0, flt.forecast_step()[-1])
-        np.testing.assert_allclose(inclusion, 2.0 / 3.0, atol=1e-12)
+        flt.update_step(0, flt.forecast_step()[-1])
+        np.testing.assert_allclose(flt.inclusion(), 2.0 / 3.0, atol=1e-12)
 
     def test_partition_sums_to_one(self):
         # brute force over the specs: inclusion is the total probability of
         # the specs whose parent mask holds the factor, exclusion the rest
         flt = make_filter(K=3, N=3)
         for t in range(10):
-            _, inclusion = flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.forecast_step()[-1])
+        inclusion = flt.inclusion()
         p = np.exp(flt.asset_log_probs)
         masks = spec_masks(flt)
         for k in range(3):
@@ -211,7 +213,9 @@ class TestInclusionProbability:
             flt.update_step(0, flt.forecast_step()[-1])
         holds = (spec_masks(shifted) & 1) == 1
         shifted.asset_log_probs = _normalize_rows(shifted.asset_log_probs + holds)
-        after = [flt.update_step(1, flt.forecast_step()[-1])[1][0, 0] for flt in (base, shifted)]
+        for flt in (base, shifted):
+            flt.update_step(1, flt.forecast_step()[-1])
+        after = [flt.inclusion()[0, 0] for flt in (base, shifted)]
         assert after[1] > after[0]
 
 
