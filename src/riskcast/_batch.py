@@ -23,6 +23,11 @@ test suite asserts equivalence against that per-state reference kernel.
 
 Degrees of freedom evolve as n <- kappa * n + 1 independently of the data,
 so ``n`` is stored once per discount pair rather than per equation.
+
+Recoupling works in the second moments S = E[x x'] of x = (1, factors): a
+selected regression of y on columns X of x gives E[y X] = S_XX a and
+E[y^2] = r/(r-2) (s + tr(R S_XX)) + a' E[y X], the one formula that fills S
+for the factors and gives each asset's mean and idiosyncratic variance.
 """
 
 from __future__ import annotations
@@ -174,42 +179,42 @@ class PoolGroup:
         return a, R, self.r[p_idx], s_prev
 
 
-def recursive_factor_moments(parents, targets, a_sel, R_sel, r_sel, s_sel,
-                             dof_floor: float = DOF_FLOOR
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Factor moments for every ordering at once, in factor coordinates.
+def _regression_moments(SXX, a, R, r, s, dof_floor):
+    """E[y X] = S_XX a, (b, d), and the expected predictive variance
+    r/(r-2) (s + tr(R S_XX)), (b,), of the selected priors (a, R, r, s), with
+    r floored at ``dof_floor``; SXX is (b, d, d) or one (d, d) for all b."""
+    r = np.maximum(r, dof_floor)
+    yX = np.einsum("...ij,...j->...i", SXX, a)
+    return yX, (r / (r - 2.0)) * (s + np.einsum("...ij,...ji->...", R, SXX))
 
-    Position j of ordering o regresses factor ``targets[j][o]`` on the
-    factors ``parents[j][o]`` (o, j), which the earlier positions placed;
-    ``a_sel[j]`` etc. hold the selected prior of that equation, with the
-    coefficients in the order of ``parents[j]``: a (o, j+1), R (o, j+1, j+1),
-    r (o,), s (o,).  Degrees of freedom are floored at ``dof_floor``.
 
-    The recursion fills the second moments S = E[x x'] of x = (1, factors).
-    For the target y of position j, with regressors X = (1, parents), it
-    applies the asset-moment formula of ``batched_asset_moments`` in second
-    moments: E[y X] = E[X X'] a and E[y^2] = r/(r-2) (s + tr(R E[X X']))
-    + a' E[y X].  At j = 0, X is the constant alone.
+def moment_offsets(cols) -> list[np.ndarray]:
+    """Flat offsets into S (o, K+1, K+1), K = len(cols), of the blocks
+    S[o][c, c'] for c, c' in cols[j][o]: the x-columns of ordering o's
+    equation at position j, the constant 0, the parents, then the target."""
+    n = len(cols) + 1
+    return [(np.arange(c.shape[0])[:, None, None] * n + c[:, :, None]) * n + c[:, None, :]
+            for c in cols]
+
+
+def recursive_factor_moments(offsets, a_sel, R_sel, r_sel, s_sel,
+                             dof_floor: float = DOF_FLOOR) -> np.ndarray:
+    """Second moments S (o, K+1, K+1) of x = (1, factors) for every ordering.
+
+    Position j's block of S sits at ``offsets[j]``, from ``moment_offsets``,
+    and its selected priors in ``a_sel[j]`` etc., the coefficients in the
+    order of the regressor columns: a (o, j+1), R (o, j+1, j+1), r (o,), s (o,).
     """
-    n_ord, K = len(targets[0]), len(targets)
+    n_ord, K = offsets[0].shape[0], len(offsets)
     S = np.zeros((n_ord, K + 1, K + 1))
     S[:, 0, 0] = 1.0
-    rows = np.arange(n_ord)[:, None]
-    # flat offsets into S, so the (o, j+1, j+1) gather is one 1-D take
-    base = rows[:, :, None] * S[0].size
-    const = np.zeros((n_ord, 1), dtype=int)
-    for pa, tg, a, R, r, s in zip(parents, targets, a_sel, R_sel, r_sel, s_sel):
-        r = np.maximum(r, dof_floor)
-        X = np.concatenate((const, pa + 1), axis=1)
-        y = tg[:, None] + 1
-        SX = S.reshape(-1).take(base + X[:, :, None] * (K + 1) + X[:, None, :])
-        yX = np.einsum("oij,oj->oi", SX, a)
-        S[rows, y, X] = yX
-        S[rows, X, y] = yX
-        S[rows, y, y] = ((r / (r - 2.0)) * (s + np.einsum("oij,oji->o", R, SX))
-                         + np.einsum("oi,oi->o", a, yX))[:, None]
-    mean = S[:, 0, 1:]
-    return mean, S[:, 1:, 1:] - mean[:, :, None] * mean[:, None, :]
+    flat = S.reshape(-1)
+    for off, a, R, r, s in zip(offsets, a_sel, R_sel, r_sel, s_sel):
+        yX, var = _regression_moments(flat[off[:, :-1, :-1]], a, R, r, s, dof_floor)
+        flat[off[:, -1, :-1]] = yX
+        flat[off[:, :-1, -1]] = yX
+        flat[off[:, -1, -1]] = var + np.einsum("oi,oi->o", a, yX)
+    return S
 
 
 def batched_asset_moments(groups, sel_flat: np.ndarray, lam: np.ndarray,
@@ -217,31 +222,33 @@ def batched_asset_moments(groups, sel_flat: np.ndarray, lam: np.ndarray,
     """Mean vector, loading matrix and idiosyncratic variances of all assets.
 
     ``sel_flat[j]`` is the flattened (group, member) spec index selected for
-    asset j.  Returns (mean, B, idio); the asset covariance is
-    B sig B' + diag(idio).
+    asset j.  With S the second moments of x = (1, factors) under factor mean
+    ``lam`` and covariance ``sig``, an asset's mean is E[y 1] and its
+    idiosyncratic variance its expected predictive variance.
     """
-    n_eq = groups[0].n_eq
-    K = lam.size
-    P = groups[0].P
+    n_eq, K = groups[0].n_eq, lam.size
+    S = np.empty((K + 1, K + 1))
+    S[0, 0] = 1.0
+    S[0, 1:] = S[1:, 0] = lam
+    S[1:, 1:] = sig + np.outer(lam, lam)
     mean = np.zeros(n_eq)
     idio = np.zeros(n_eq)
     B = np.zeros((n_eq, K))
-    gi = sel_flat // P
-    p_idx = sel_flat % P
+    gi, p_idx = np.divmod(sel_flat, groups[0].P)
     for g, grp in enumerate(groups):
         mem = np.flatnonzero(gi == g)
         if mem.size == 0:
             continue
         a, R, r, s = grp.selected(mem, p_idx[mem])
-        r = np.maximum(r, dof_floor)
-        idx = grp.idx
-        lam_pa = lam[idx]
-        sig_pa = sig[np.ix_(idx, idx)]
-        aB = a[:, 1:]
-        mean[mem] = a[:, 0] + aB @ lam_pa
-        u = (np.einsum("i,mij,j->m", lam_pa, R[:, 1:, 1:], lam_pa)
-             + np.einsum("mij,ji->m", R[:, 1:, 1:], sig_pa)
-             + 2.0 * (R[:, 0, 1:] @ lam_pa) + R[:, 0, 0])
-        idio[mem] = (r / (r - 2.0)) * (s + u)
-        B[mem[:, None], idx[None, :]] = aB
+        cols = np.concatenate(([0], grp.idx + 1))
+        yX, idio[mem] = _regression_moments(S[cols[:, None], cols], a, R, r, s, dof_floor)
+        mean[mem] = yX[:, 0]
+        B[mem[:, None], grp.idx[None, :]] = a[:, 1:]
     return mean, B, idio
+
+
+def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray) -> np.ndarray:
+    """Asset covariance B sig B' + diag(idio), symmetrized."""
+    cov = B @ sig @ B.T
+    cov[np.diag_indices(idio.size)] += idio
+    return (cov + cov.T) / 2.0

@@ -193,9 +193,7 @@ class FactorWishartDLM:
         if r <= 2.0:
             raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
         mean, B, idio = _batch.batched_asset_moments([grp], self._sel, lam, sig_f, dof_floor=2.0)
-        cov = B @ sig_f @ B.T
-        cov[np.diag_indices(mean.size)] += idio
         F = np.concatenate(([1.0], np.asarray(y_factors, float)))
         f, q = grp.forecast(F)
         grp.update(y_assets, f, q)
-        return mean, (cov + cov.T) / 2.0
+        return mean, _batch.asset_covariance(B, sig_f, idio)

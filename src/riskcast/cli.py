@@ -7,9 +7,9 @@ file.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 
 Config files are flat ``key = value`` text; values are parsed as JSON where
 possible (lists use ``[0, 5, 10]``), otherwise taken as strings, and must
-have the type ``CONFIG_KEYS`` declares (an int passes as a float).  Lines
-starting with ``#`` are comments.  The environment variable RISKCAST_CONFIG
-names a default config file.
+have the type ``CONFIG_KEYS`` declares (an int passes as a float, and is
+converted to one).  Lines starting with ``#`` are comments.  The environment
+variable RISKCAST_CONFIG names a default config file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import report as rpt
 from .data import SyntheticSpec, generate_synthetic, load_panel, save_panel, save_truth
-from .engine import RunConfig, run_backtest, run_statistics_only
+from .engine import COMPARISON_MODELS, RunConfig, run_backtest, run_statistics_only
 from .errors import (AlignmentError, FormatError, IntegrityError, NumericError,
                      ParameterError, RiskcastError)
 
@@ -32,14 +32,20 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
 
+# key -> (type, RunConfig field); input and output paths have no field
 CONFIG_KEYS = {
-    "assets": str, "factors": str, "out": str, "strategy": str, "ordering": str,
-    "mean_signal": str, "fee_reference": str, "inclusion_out": str, "ordering_out": str,
-    "tau": float, "bound": float, "alpha": float, "alpha_ord": float,
-    "train_len": int, "threads": int,
-    "tc": list[float], "gamma": list[float], "factor_set": list[int], "benchmarks": list[str],
-    "delta_grid": list[float], "kappa_r_grid": list[float], "kappa_f_grid": list[float],
-    "sparsity": bool,
+    "assets": (str, None), "factors": (str, None), "out": (str, None),
+    "inclusion_out": (str, None), "ordering_out": (str, None),
+    "strategy": (str, "strategy"), "ordering": (str, "ordering"),
+    "mean_signal": (str, "mean_signal"), "fee_reference": (str, "fee_reference"),
+    "tau": (float, "tau_annual"), "bound": (float, "max_weight"),
+    "alpha": (float, "alpha"), "alpha_ord": (float, "alpha_ord"),
+    "train_len": (int, "train_len"), "threads": (int, "threads"),
+    "tc": (list[float], "tc_bps"), "gamma": (list[float], "gamma"),
+    "factor_set": (list[int], "factor_set"), "benchmarks": (list[str], "benchmarks"),
+    "delta_grid": (list[float], "delta_grid"), "kappa_r_grid": (list[float], "kappa_r_grid"),
+    "kappa_f_grid": (list[float], "kappa_f_grid"),
+    "sparsity": (bool, "sparsity"),
 }
 
 
@@ -77,7 +83,7 @@ def read_config(path) -> dict:
                 cfg[key] = json.loads(value)
             except json.JSONDecodeError:
                 cfg[key] = value
-            typ = CONFIG_KEYS[key]
+            typ = CONFIG_KEYS[key][0]
             if not _has_type(cfg[key], typ):
                 name = typ.__name__ if isinstance(typ, type) else str(typ)
                 raise FormatError(f"{path}: line {lineno}: {key!r} needs a {name}, got {value}")
@@ -103,8 +109,8 @@ def _build_parser() -> _Parser:
                         help="factor column indices to use")
     shared.add_argument("--threads", type=int)
     shared.add_argument("--train-len", type=int, dest="train_len")
-    shared.add_argument("--benchmarks", nargs="+",
-                        help="any of: efm lw ewma97 ewma99 wdlm factor-wdlm ew")
+    shared.add_argument("--benchmarks", nargs="+", choices=COMPARISON_MODELS,
+                        help="comparison models")
     shared.add_argument("--out", help="results output path")
 
     sub.add_parser("backtest", parents=[shared], help="run a portfolio backtest")
@@ -128,9 +134,7 @@ def _build_parser() -> _Parser:
 def _merge_config(args) -> dict:
     path = args.config or os.environ.get("RISKCAST_CONFIG")
     cfg = read_config(path) if path else {}
-    for key in ("assets", "factors", "strategy", "tau", "bound", "tc", "gamma",
-                "alpha", "ordering", "factor_set", "threads", "train_len",
-                "benchmarks", "out"):
+    for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -139,30 +143,14 @@ def _merge_config(args) -> dict:
 
 def _run_config(cfg: dict) -> RunConfig:
     kwargs = {}
-    mapping = {
-        "strategy": "strategy", "ordering": "ordering", "alpha": "alpha",
-        "alpha_ord": "alpha_ord", "threads": "threads",
-        "train_len": "train_len", "mean_signal": "mean_signal",
-        "fee_reference": "fee_reference", "sparsity": "sparsity",
-    }
-    for src, dst in mapping.items():
-        if src in cfg:
-            kwargs[dst] = cfg[src]
-    if "tau" in cfg:
-        kwargs["tau_annual"] = float(cfg["tau"])
-    if "bound" in cfg:
-        kwargs["max_weight"] = float(cfg["bound"])
-    if "tc" in cfg:
-        kwargs["tc_bps"] = tuple(float(x) for x in cfg["tc"])
-    if "gamma" in cfg:
-        kwargs["gamma"] = tuple(float(x) for x in cfg["gamma"])
-    if "factor_set" in cfg:
-        kwargs["factor_set"] = tuple(int(x) for x in cfg["factor_set"])
-    if "benchmarks" in cfg:
-        kwargs["benchmarks"] = tuple(cfg["benchmarks"])
-    for grid in ("delta_grid", "kappa_r_grid", "kappa_f_grid"):
-        if grid in cfg:
-            kwargs[grid] = tuple(float(x) for x in cfg[grid])
+    for key, (typ, field) in CONFIG_KEYS.items():
+        if field is None or key not in cfg:
+            continue
+        if typing.get_origin(typ) is list:
+            (item,) = typing.get_args(typ)
+            kwargs[field] = tuple(item(x) for x in cfg[key])
+        else:
+            kwargs[field] = typ(cfg[key])
     return RunConfig(**kwargs)
 
 
@@ -184,8 +172,8 @@ def _export_series(path, dates, names, values) -> None:
 
 def _cmd_backtest(args) -> int:
     cfg = _merge_config(args)
-    panel = _load_panel_from(cfg)
     config = _run_config(cfg)
+    panel = _load_panel_from(cfg)
     report = run_backtest(panel, config)
     out = cfg.get("out", "results.txt")
     rpt.write_results(report, out)
@@ -197,8 +185,8 @@ def _cmd_backtest(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _merge_config(args)
-    panel = _load_panel_from(cfg)
     config = _run_config(cfg)
+    panel = _load_panel_from(cfg)
     stats = run_statistics_only(panel, config)
     print(f"LPD {stats.lpd:.4f}")
     print(f"Acc {stats.acc:.4f}")

@@ -22,7 +22,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import benchmarks as bench
 from . import portfolio as pf
-from ._batch import DOF_FLOOR, PoolGroup, batched_asset_moments, recursive_factor_moments
+from ._batch import (DOF_FLOOR, PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
+                     recursive_factor_moments)
 from .data import ReturnPanel
 from .errors import ParameterError, RiskcastError, WindowError
 from .ordering import ORDERING_CAP, enumerate_orderings, mixture_factor_moments
@@ -43,6 +44,9 @@ MODEL_NAME = "dfs-dlm"
 DEFAULT_DELTA_GRID = (0.95, 0.975, 1.0)
 DEFAULT_KAPPA_R_GRID = (0.99, 0.995, 1.0)
 DEFAULT_KAPPA_F_GRID = (0.999, 1.0)
+
+# Comparison models that run_backtest can add next to the model's own row.
+COMPARISON_MODELS = ("efm", "lw", "ewma97", "ewma99", "wdlm", "factor-wdlm", "ew")
 
 # Relative diagonal jitter added to each comparison model's covariance
 # before its weight solve and Gaussian LPD.
@@ -88,6 +92,11 @@ class RunConfig:
             raise ParameterError(f"unknown strategy {self.strategy!r}")
         if self.mean_signal not in ("model", "momentum"):
             raise ParameterError(f"unknown mean signal {self.mean_signal!r}")
+        for name in self.benchmarks:
+            if name not in COMPARISON_MODELS:
+                raise ParameterError(f"unknown benchmark {name!r}")
+        if self.max_weight is not None and self.max_weight <= 0:
+            raise ParameterError("max_weight must be > 0")
         if any(tc < 0 for tc in self.tc_bps):
             raise ParameterError("transaction costs must be >= 0")
         if any(g <= 0 for g in self.gamma):
@@ -185,7 +194,9 @@ class _DynamicFactorFilter:
             raise ParameterError(f"factor_set {fs} empty or outside the panel's {panel.n_factors} factors")
         self.factor_names = tuple(panel.factors[i] for i in fs)
         self.all_factors = fs == tuple(range(panel.n_factors))
-        self.F = panel.F[:, list(fs)]
+        # every regressor is a set of columns of x_t = (1, factors at t):
+        # column 0 is the constant and column i + 1 is factor i
+        self.X = np.column_stack([np.ones(panel.T), panel.F[:, list(fs)]])
         self.R = panel.R
         self.K = len(fs)
         self.N = panel.n_assets
@@ -204,13 +215,13 @@ class _DynamicFactorFilter:
         self.P_r = len(config.delta_grid) * len(config.kappa_r_grid)
         masks = list(range(1, 1 << self.K)) if config.sparsity else [(1 << self.K) - 1]
         self.masks = masks
-        Xfull = np.column_stack([np.ones(train), self.F[:train]])
-        self.s0_assets = _ols_residual_variance(self.R[:train], Xfull)
+        self.s0_assets = _ols_residual_variance(self.R[:train], self.X[:train])
         self.asset_groups = [
             PoolGroup([i for i in range(self.K) if (m >> i) & 1], self.N,
                       config.delta_grid, config.kappa_r_grid, self.s0_assets)
             for m in masks
         ]
+        self.asset_cols = [np.concatenate(([0], grp.idx + 1)) for grp in self.asset_groups]
         n_specs = len(masks) * self.P_r
         self.asset_log_probs = np.full((self.N, n_specs), -np.log(n_specs))
         self.include_mask = np.zeros((n_specs, self.K))
@@ -220,25 +231,27 @@ class _DynamicFactorFilter:
                     self.include_mask[gi * self.P_r:(gi + 1) * self.P_r, i] = 1.0
 
         # factor pools: group j holds each distinct equation of position j
-        # once, its parents in sorted order (the group's idx only sets the
-        # regression dimension); factor_eq[j][o] is the member that ordering
-        # o uses there
+        # once, as its regressor columns (the constant, then the parents in
+        # sorted order) and its target column; the group's idx only sets the
+        # regression dimension.  factor_eq[j][o] is the member that ordering o
+        # uses there, and factor_offsets[j] its block of o's second moments.
         self.P_f = len(config.delta_grid) * len(config.kappa_f_grid)
         self.factor_groups, self.factor_log_probs = [], []
-        self.factor_parents, self.factor_targets, self.factor_eq = [], [], []
+        self.factor_cols, self.factor_targets, self.factor_eq = [], [], []
         for jj in range(self.K):
-            eqs = [(tuple(sorted(perm[:jj])), perm[jj]) for perm in perms]
+            eqs = [((0, *sorted(i + 1 for i in perm[:jj])), perm[jj] + 1) for perm in perms]
             keys = sorted(set(eqs))
-            s0 = []
-            for pa, target in keys:
-                X = np.column_stack([np.ones(train), self.F[:train, list(pa)]])
-                s0.append(_ols_residual_variance(self.F[:train, target], X))
+            s0 = [_ols_residual_variance(self.X[:train, y], self.X[:train, cols])
+                  for cols, y in keys]
             self.factor_eq.append(np.array([keys.index(eq) for eq in eqs]))
-            self.factor_parents.append(np.array([pa for pa, _ in keys], dtype=int))
-            self.factor_targets.append(np.array([target for _, target in keys]))
+            self.factor_cols.append(np.array([cols for cols, _ in keys]))
+            self.factor_targets.append(np.array([y for _, y in keys]))
             self.factor_groups.append(PoolGroup(list(range(jj)), len(keys),
                                                 config.delta_grid, config.kappa_f_grid, s0))
             self.factor_log_probs.append(np.full((len(keys), self.P_f), -np.log(self.P_f)))
+        self.factor_offsets = moment_offsets([
+            np.column_stack((cols[eq], tg[eq]))
+            for cols, tg, eq in zip(self.factor_cols, self.factor_targets, self.factor_eq)])
 
         self._executor = (ThreadPoolExecutor(max_workers=config.threads)
                           if config.threads > 1 else None)
@@ -269,21 +282,16 @@ class _DynamicFactorFilter:
         # gather each ordering's equations.  The predicted log probabilities
         # of the equation pools stay unnormalized: argmax ignores the row
         # constant, and update_step normalizes after adding the densities.
-        priors, parents, sel_f, lp_pred_f = [], [], [], []
-        for jj, grp in enumerate(self.factor_groups):
-            lp_pred = cfg.alpha * self.factor_log_probs[jj]
-            sel = np.argmax(lp_pred, axis=1)
-            eq = self.factor_eq[jj]
-            sel_f.append(sel)
-            lp_pred_f.append(lp_pred)
-            priors.append(grp.selected(eq, sel[eq]))
-            parents.append(self.factor_parents[jj][eq])
-        a_sel, R_sel, r_sel, s_sel = zip(*priors)
-        lam_o, sig_o = recursive_factor_moments(parents, self.perms.T, a_sel, R_sel, r_sel, s_sel)
+        lp_pred_f = [cfg.alpha * lp for lp in self.factor_log_probs]
+        sel_f = [np.argmax(lp, axis=1) for lp in lp_pred_f]
+        a_sel, R_sel, r_sel, s_sel = zip(*(
+            grp.selected(eq, sel[eq])
+            for grp, eq, sel in zip(self.factor_groups, self.factor_eq, sel_f)))
+        S = recursive_factor_moments(self.factor_offsets, a_sel, R_sel, r_sel, s_sel)
         if np.any(np.concatenate(r_sel) <= DOF_FLOOR):
             warnings.warn("factor equation degrees of freedom at the floor", RuntimeWarning)
         lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
-        lam, sig = mixture_factor_moments(lp_ord_pred, lam_o, sig_o)
+        lam, sig = mixture_factor_moments(lp_ord_pred, S)
 
         # asset block: select per asset on predicted probabilities
         lp_pred_assets = cfg.alpha * self.asset_log_probs
@@ -300,15 +308,15 @@ class _DynamicFactorFilter:
         Returns the asset-block log predictive density of the selected models.
         """
         sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f = selection
-        yF = self.F[t]
+        x = self.X[t]
         yR = self.R[t]
 
         # factor pools
         joint = np.zeros(self.n_ord)
         for jj, grp in enumerate(self.factor_groups):
-            pa, eq = self.factor_parents[jj], self.factor_eq[jj]
-            y = yF[self.factor_targets[jj]]
-            f, q = grp.forecast(np.column_stack([np.ones(len(pa)), yF[pa]]))
+            eq = self.factor_eq[jj]
+            y = x[self.factor_targets[jj]]
+            f, q = grp.forecast(x[self.factor_cols[jj]])
             dens = grp.log_densities(y, f, q)
             joint += dens[eq, sel_f[jj][eq]]
             self.factor_log_probs[jj] = _normalize_rows(lp_pred_f[jj] + dens)
@@ -317,14 +325,13 @@ class _DynamicFactorFilter:
 
         # asset pools
         def advance(item):
-            gi, grp = item
-            Freg = np.concatenate(([1.0], yF[grp.idx]))
-            f, q = grp.forecast(Freg)
+            grp, cols = item
+            f, q = grp.forecast(x[cols])
             dens = grp.log_densities(yR, f, q)
             grp.update(yR, f, q)
             return dens
 
-        dens_groups = self._map(advance, list(enumerate(self.asset_groups)))
+        dens_groups = self._map(advance, list(zip(self.asset_groups, self.asset_cols)))
         dens_all = np.concatenate(dens_groups, axis=1)
         self.asset_log_probs = _normalize_rows(lp_pred_assets + dens_all)
         return float(dens_all[np.arange(self.N), sel_assets].sum())
@@ -362,9 +369,7 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                     fac_mean[i] = lam
                     fac_cov[i] = sig
                     if collect_weights:
-                        cov = B @ sig @ B.T
-                        cov[np.diag_indices(N)] += idio
-                        cov = (cov + cov.T) / 2.0
+                        cov = asset_covariance(B, sig, idio)
                         if config.mean_signal == "momentum" and config.strategy != "gmv":
                             mu = pf.momentum_signal(flt.R, t)
                         else:
@@ -475,8 +480,6 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
             state, mu, cov = bench.wishart_dlm_step(state, R[t])
         elif name == "factor-wdlm":
             mu, cov = state.step(F[t], R[t])
-        else:
-            raise ParameterError(f"unknown benchmark {name!r}")
         cov = cov + (COV_JITTER * np.trace(cov) / N) * np.eye(N)
         weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
                                     weights[i - 1] if i > 0 else None).w

@@ -5,9 +5,10 @@ order in which the factors enter the system.  The K! orderings share their
 equations (position j regresses a factor on the j placed before it), so the
 engine filters each distinct (parent set, target) equation once.  Ordering
 probabilities follow the same forget-then-Bayes recursion as model
-probabilities (the engine runs both on one normalizer), and factor predictive
-moments are averaged across orderings (law of total mean and variance) rather
-than selected.
+probabilities (the engine runs both on one normalizer).  Factor predictive
+moments are averaged across orderings rather than selected: the mixture's
+second moments E[x x'] of x = (1, factors) are the probability-weighted
+average of each ordering's, which is the law of total mean and variance.
 
 The engine runs ``enumerate_orderings`` and ``mixture_factor_moments``.
 It does not run ``to_canonical``: that is part of the scalar
@@ -52,19 +53,19 @@ def to_canonical(perm: tuple[int, ...], mean_perm: np.ndarray,
     return mean, cov
 
 
-def mixture_factor_moments(log_probs: np.ndarray, means, covs) -> tuple[np.ndarray, np.ndarray]:
-    """Probability-weighted moments of the ordering mixture.
+def mixture_factor_moments(log_probs: np.ndarray, S) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the ordering mixture.
 
-    means and covs are per-ordering moments already in canonical factor
-    coordinates.  The mixture covariance adds the between-ordering spread of
-    the means to the average within-ordering covariance.
+    ``S`` (o, K+1, K+1) holds each ordering's second moments E[x x'] of
+    x = (1, factors) in canonical factor coordinates.  The mixture's second
+    moments are their probability-weighted average, so its covariance needs
+    no separate between-ordering spread of the means.
     """
     p = np.exp(np.asarray(log_probs, float))
-    means = np.asarray(means, float)
-    covs = np.asarray(covs, float)
-    if means.shape[0] != p.size or covs.shape[0] != p.size:
+    S = np.asarray(S, float)
+    if S.shape[0] != p.size:
         raise ShapeError("per-ordering moments must align with probabilities")
-    mean_mix = p @ means
-    second = np.einsum("o,oij->ij", p, covs) + np.einsum("o,oi,oj->ij", p, means, means)
-    cov_mix = second - np.outer(mean_mix, mean_mix)
-    return mean_mix, (cov_mix + cov_mix.T) / 2.0
+    S_mix = np.einsum("o,oij->ij", p, S)
+    mean = S_mix[0, 1:]
+    cov = S_mix[1:, 1:] - np.outer(mean, mean)
+    return mean, (cov + cov.T) / 2.0

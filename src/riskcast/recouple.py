@@ -8,8 +8,10 @@ factor moments; the full asset covariance is a rank-K systematic part plus a
 strictly positive idiosyncratic diagonal, so it is positive definite by
 construction.
 
-The engine runs none of this module: it uses the batched
-``_batch.recursive_factor_moments`` and ``_batch.batched_asset_moments``.
+The engine runs none of this module.  It uses the batched
+``_batch.recursive_factor_moments`` and ``_batch.batched_asset_moments``,
+which apply the same integral as one formula in the second moments
+E[x x'] of x = (1, factors) rather than in (mean, covariance).
 ``factor_moments`` and ``asset_moments`` are the scalar references that the
 tests hold those against, and the benchmark's tracer hooks ``asset_moments``
 by name.

@@ -11,7 +11,8 @@ import pytest
 from scipy.special import logsumexp
 
 from riskcast import dlm, portfolio as pf
-from riskcast._batch import PoolGroup, batched_asset_moments, recursive_factor_moments
+from riskcast._batch import (PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
+                             recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import RunConfig, _DynamicFactorFilter, run_backtest, run_statistics_only
 
@@ -139,9 +140,7 @@ def _batched_asset_moments(sels, lam, sig):
         grp.evolve()
         groups.append(grp)
     mean, B, idio = batched_asset_moments(groups, np.arange(N), lam, sig)
-    cov = B @ sig @ B.T
-    cov[np.diag_indices(N)] += idio
-    return mean, (cov + cov.T) / 2.0
+    return mean, asset_covariance(B, sig, idio)
 
 
 def test_criterion_3_moment_oracle():
@@ -173,12 +172,14 @@ def test_criterion_3_moment_oracle():
                                         A @ A.T + 0.01 * np.eye(d),
                                         float(rng.uniform(10, 30)),
                                         float(rng.uniform(1e-4, 1e-3)))))
-        perm_row = np.array([perm])
-        lam, sig_f = recursive_factor_moments(
-            [perm_row[:, :j] for j in range(K)], perm_row.T,
+        # position j's x-columns: the constant 0, then factors perm[:j+1] at i + 1
+        cols = [np.array([(0, *[i + 1 for i in perm[:j + 1]])]) for j in range(K)]
+        S = recursive_factor_moments(
+            moment_offsets(cols),
             [pr.a[None] for pr in fpriors], [pr.R[None] for pr in fpriors],
-            [np.array([pr.r]) for pr in fpriors], [np.array([pr.s_prev]) for pr in fpriors])
-        lam, sig_f = lam[0], sig_f[0]
+            [np.array([pr.r]) for pr in fpriors], [np.array([pr.s_prev]) for pr in fpriors])[0]
+        lam = S[0, 1:]
+        sig_f = S[1:, 1:] - np.outer(lam, lam)
         asset_mean, asset_cov = _batched_asset_moments(sels, lam, sig_f)
         fdraws = _draw_factor_block(fpriors, perm, n, rng)
         adraws = np.zeros((n, N))

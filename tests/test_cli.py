@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, file outputs, report rendering."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from riskcast.cli import main, read_config
+from riskcast.cli import CONFIG_KEYS, _run_config, main, read_config
 from riskcast.data import SyntheticSpec, generate_synthetic, save_panel
+from riskcast.engine import RunConfig
 from riskcast.errors import FormatError
 from riskcast.report import parse_table, read_results, render_table
 
@@ -72,6 +74,18 @@ class TestBacktestCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("unknown_key = 1\n")
         assert main(["backtest", "--config", str(cfg)]) == 2
+
+    def test_bad_run_settings_are_usage_errors_before_any_input_is_read(self, tmp_path,
+                                                                         capsys):
+        # the input files do not exist: a data error (2) would mean they were read
+        missing = str(tmp_path / "nope.csv")
+        inputs = ["--assets", missing, "--factors", missing]
+        assert main(["backtest", *inputs, "--benchmarks", "wdml"]) == 1
+        assert main(["stats", *inputs, "--bound", "0"]) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('benchmarks = ["ewma97", "wdml"]\n')
+        assert main(["backtest", *inputs, "--config", str(cfg)]) == 1
+        assert "unknown benchmark 'wdml'" in capsys.readouterr().err
 
 
 class TestStatsCommand:
@@ -174,6 +188,17 @@ class TestReadConfig:
         with pytest.raises(FormatError, match=f"c.cfg: line 2: '{key}' needs a"):
             read_config(cfg)
         assert main(["backtest", "--config", str(cfg)]) == 2
+
+    def test_run_keys_name_run_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert {field for _, field in CONFIG_KEYS.values() if field} <= fields
+        config = _run_config({"tc": [0, 5, 10], "tau": 1, "factor_set": [1, 0],
+                              "benchmarks": ["ew"], "out": "r.txt"})
+        assert config.tc_bps == (0.0, 5.0, 10.0)
+        assert all(type(tc) is float for tc in config.tc_bps)
+        assert type(config.tau_annual) is float
+        assert config.factor_set == (1, 0)
+        assert config.benchmarks == ("ew",)
 
     def test_seed_is_not_a_run_setting(self, tmp_path):
         # the model draws nothing at random; only ``simulate`` takes a seed

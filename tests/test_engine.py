@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from riskcast import dlm, portfolio as pf, recouple
-from riskcast._batch import PoolGroup, batched_asset_moments, recursive_factor_moments
+from riskcast import dlm, engine, portfolio as pf, recouple
+from riskcast._batch import (PoolGroup, batched_asset_moments, moment_offsets,
+                             recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
                              run_statistics_only)
+from riskcast.errors import ParameterError
+
+
+def moments_from_second(S):
+    """Mean and covariance of the factors from E[x x'], x = (1, factors)."""
+    mean = S[0, 1:]
+    return mean, S[1:, 1:] - np.outer(mean, mean)
 
 
 def small_panel(seed=0, N=6, K=2, T=120, train=40):
@@ -140,15 +148,51 @@ class TestBatchedKernelEquivalence:
             r_sel.append(r)
             s_sel.append(s)
             ref.append((a, Rm, r, s))
-        # position j regresses perms[:, j] on perms[:, :j], coefficients in that order
-        lam, sig = recursive_factor_moments([perms[:, :j] for j in range(K)], perms.T,
-                                            a_sel, R_sel, r_sel, s_sel)
+        # position j regresses perms[:, j] on perms[:, :j], coefficients in
+        # that order; factor i is column i + 1 of x = (1, factors)
+        cols = [np.column_stack((np.zeros(2, int), perms[:, :j + 1] + 1)) for j in range(K)]
+        S = recursive_factor_moments(moment_offsets(cols), a_sel, R_sel, r_sel, s_sel)
         for o, perm in enumerate(perms):
             priors = [dlm.PriorState(ref[j][0][o], ref[j][1][o], float(ref[j][2][o]),
                                      float(ref[j][3][o])) for j in range(K)]
             lam_ref, sig_ref = recouple.factor_moments(tuple(perm), priors)
-            np.testing.assert_allclose(lam[o], lam_ref, atol=1e-13)
-            np.testing.assert_allclose(sig[o], sig_ref, atol=1e-13)
+            lam, sig = moments_from_second(S[o])
+            np.testing.assert_allclose(lam, lam_ref, atol=1e-13)
+            np.testing.assert_allclose(sig, sig_ref, atol=1e-13)
+
+    def test_engine_second_moments_match_reference_for_every_ordering(self, monkeypatch):
+        # K = 5 gives 120 orderings over 80 shared equations, so every
+        # set-up layout (regressor columns, the equation each ordering uses,
+        # the offsets of its block) is exercised against the scalar recursion,
+        # which takes each ordering's coefficients in ordering order
+        panel = small_panel(seed=21, N=4, K=5, T=33, train=30)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
+        captured = []
+
+        def capture(*args, **kwargs):
+            captured.append(recursive_factor_moments(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(engine, "recursive_factor_moments", capture)
+        for t in range(panel.T):
+            *_, selection = flt.forecast_step()
+            if t >= panel.T - 3:
+                S, sel_f = captured[-1], selection[1]
+                for o, perm in enumerate(flt.perms):
+                    priors = []
+                    for j, grp in enumerate(flt.factor_groups):
+                        eq = flt.factor_eq[j][o]
+                        a, R, r, s = grp.selected(np.array([eq]), sel_f[j][[eq]])
+                        # the equation stores its parents sorted; reorder them as perm
+                        order = [0, *(1 + np.searchsorted(np.sort(perm[:j]), perm[:j]))]
+                        priors.append(dlm.PriorState(a[0][order], R[0][np.ix_(order, order)],
+                                                     float(r[0]), float(s[0])))
+                    lam_ref, sig_ref = recouple.factor_moments(tuple(perm), priors)
+                    lam, sig = moments_from_second(S[o])
+                    np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-13)
+                    np.testing.assert_allclose(sig, sig_ref, rtol=0, atol=1e-13)
+            flt.update_step(t, selection)
+        flt.close()
 
     def test_batched_asset_moments_match_reference(self):
         rng = np.random.default_rng(2)
@@ -454,3 +498,14 @@ class TestEngineBehaviors:
         assert report.header["train_len"] == panel.train_len
         assert "seed" not in report.header   # the model draws nothing at random
         assert report.rows[0].name == MODEL_NAME
+
+    @pytest.mark.parametrize("settings, match", [
+        (dict(benchmarks=("ewma97", "wdml")), "unknown benchmark 'wdml'"),
+        (dict(max_weight=0.0), "max_weight"),
+        (dict(strategy="constrained", max_weight=-0.05), "max_weight"),
+    ])
+    def test_bad_run_settings_rejected_before_filtering(self, settings, match):
+        # a misspelt comparison model or a non-positive box used to surface
+        # only after the whole model run
+        with pytest.raises(ParameterError, match=match):
+            RunConfig(**settings)

@@ -106,29 +106,46 @@ class TestUpdateOrderingProbs:
                  for perm in learned.perms]
         for t in range(panel.T):
             *_, lam, sig, selection = learned.forecast_step()
-            moments = []
+            means, covs = [], []
             for perm, flt in zip(learned.perms, fixed):
                 *_, lam_o, sig_o, sel_o = flt.forecast_step()
-                moments.append(to_canonical(perm, lam_o, sig_o))
+                mean_o, cov_o = to_canonical(perm, lam_o, sig_o)
+                means.append(mean_o)
+                covs.append(cov_o)
                 flt.update_step(t, sel_o)
-            lam_mix, sig_mix = mixture_factor_moments(selection[2], *zip(*moments))
+            # law of total mean and variance over the forgotten ordering probabilities
+            p = np.exp(selection[2])
+            lam_mix = p @ np.array(means)
+            dev = np.array(means) - lam_mix
+            sig_mix = (np.einsum("o,oij->ij", p, np.array(covs))
+                       + np.einsum("o,oi,oj->ij", p, dev, dev))
             np.testing.assert_allclose(lam, lam_mix, rtol=1e-11, atol=1e-15)
             np.testing.assert_allclose(sig, sig_mix, rtol=1e-11, atol=1e-15)
             learned.update_step(t, selection)
+
+
+def second_moments(lam, sig):
+    """Per-component E[x x'] of x = (1, factors) from means (o, K) and covariances (o, K, K)."""
+    lam, sig = np.asarray(lam, float), np.asarray(sig, float)
+    S = np.zeros((lam.shape[0], lam.shape[1] + 1, lam.shape[1] + 1))
+    S[:, 0, 0] = 1.0
+    S[:, 0, 1:] = S[:, 1:, 0] = lam
+    S[:, 1:, 1:] = sig + np.einsum("oi,oj->oij", lam, lam)
+    return S
 
 
 class TestMixtureMoments:
     def test_identity_for_single_component(self):
         lam = np.array([[0.1, -0.2]])
         sig = np.array([[[1.0, 0.2], [0.2, 2.0]]])
-        m, S = mixture_factor_moments(np.array([0.0]), lam, sig)
+        m, S = mixture_factor_moments(np.array([0.0]), second_moments(lam, sig))
         np.testing.assert_allclose(m, lam[0], atol=1e-14)
         np.testing.assert_allclose(S, sig[0], atol=1e-14)
 
     def test_equal_means_average_covariances(self):
         lam = np.array([[0.3], [0.3]])
         sig = np.array([[[1.0]], [[3.0]]])
-        _, S = mixture_factor_moments(np.log([0.5, 0.5]), lam, sig)
+        _, S = mixture_factor_moments(np.log([0.5, 0.5]), second_moments(lam, sig))
         assert S[0, 0] == pytest.approx(2.0)
 
     def test_law_of_total_variance_hand_check(self):
@@ -136,7 +153,7 @@ class TestMixtureMoments:
         # cross-verified by sampling from the two-component mixture
         lam = np.array([[0.0], [2.0]])
         sig = np.array([[[1.0]], [[1.0]]])
-        m, S = mixture_factor_moments(np.log([0.5, 0.5]), lam, sig)
+        m, S = mixture_factor_moments(np.log([0.5, 0.5]), second_moments(lam, sig))
         assert m[0] == pytest.approx(1.0)
         assert S[0, 0] == pytest.approx(2.0)
         rng = np.random.default_rng(0)
@@ -151,7 +168,7 @@ class TestMixtureMoments:
         sig = np.array([np.eye(K) * rng.uniform(0.5, 2) for _ in range(n)])
         lw = rng.normal(size=n)
         lw -= logsumexp(lw)
-        _, S = mixture_factor_moments(lw, lam, sig)
+        _, S = mixture_factor_moments(lw, second_moments(lam, sig))
         within = np.einsum("o,oij->ij", np.exp(lw), sig)
         eig = np.linalg.eigvalsh(S - within)
         assert eig.min() > -1e-12

@@ -71,8 +71,9 @@ class TestBuildPool:
             assert grp.P == 6
             assert grp.n_eq == 1
             assert flt.factor_log_probs[jj].shape == (1, 6)
-            assert flt.factor_parents[jj].tolist() == [list(range(jj))]
-            assert flt.factor_targets[jj].tolist() == [jj]
+            # columns of x = (1, factors): the constant, then factor i at i + 1
+            assert flt.factor_cols[jj].tolist() == [list(range(jj + 1))]
+            assert flt.factor_targets[jj].tolist() == [jj + 1]
         # learned orderings share equations: position j holds each (sorted
         # parent set, target) once, C(K, j) (K - j) members, K 2^(K-1) in all
         K = 4
@@ -81,11 +82,11 @@ class TestBuildPool:
         assert sum(grp.n_eq for grp in flt.factor_groups) == K * 2 ** (K - 1)
         for jj, grp in enumerate(flt.factor_groups):
             assert flt.factor_log_probs[jj].shape == (grp.n_eq, grp.P)
-            members = list(zip(map(tuple, flt.factor_parents[jj].tolist()),
+            members = list(zip(map(tuple, flt.factor_cols[jj].tolist()),
                                flt.factor_targets[jj].tolist()))
             assert len(set(members)) == grp.n_eq
             for o, perm in enumerate(flt.perms):
-                assert members[flt.factor_eq[jj][o]] == (tuple(sorted(perm[:jj])), perm[jj])
+                assert members[flt.factor_eq[jj][o]] == ((0, *sorted(perm[:jj] + 1)), perm[jj] + 1)
 
     def test_zero_factor_asset_equation_rejected(self):
         with pytest.raises(ParameterError, match="factor_set"):
