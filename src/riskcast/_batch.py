@@ -2,9 +2,10 @@
 
 Pool members are stacked into arrays so that every equation with the same
 regression dimension advances in one set of array operations: axis ``b``
-runs over equations (assets sharing a parent mask, or the distinct factor
-equations of one ordering position).  Every equation is filtered under each
-pair of a loading discount delta and a volatility discount kappa.
+runs over equations, each with its own regressor row (assets on parent masks
+of one size, or factor equations of one ordering position).  Every equation
+is filtered under each pair of a loading discount delta and a volatility
+discount kappa.
 
 Under variance discounting the posterior mean m and the scaled covariance
 C / s do not depend on kappa, which enters only s and the degrees of freedom
@@ -41,25 +42,12 @@ from .errors import NumericError
 DOF_FLOOR = 2.05
 
 
-def t_logpdf_grid(y, f, q, dof, log_norm=None):
-    """Student-t log density on broadcastable arrays.
-
-    ``log_norm`` may carry the precomputed gammaln((dof+1)/2) - gammaln(dof/2)
-    term, which depends only on dof.
-    """
-    if log_norm is None:
-        log_norm = gammaln((dof + 1.0) / 2.0) - gammaln(dof / 2.0)
-    z2 = (y - f) ** 2 / (dof * q)
-    return log_norm - 0.5 * np.log(dof * np.pi * q) - (dof + 1.0) / 2.0 * np.log1p(z2)
-
-
 class PoolGroup:
-    """States of all pool members with one regression dimension.
+    """States of all pool members with one regression dimension d.
 
-    ``idx`` holds the parent factor indices, when the members share them;
-    the regression dimension is d = 1 + len(idx).  ``deltas`` and
-    ``kappas`` are the two discount grids.  Their P = Pd * Pk pairs are the
-    specs, numbered p = i_delta * Pk + i_kappa; n and r are (P,).
+    Member b regresses on row b of the F (b, d) given to ``forecast``.
+    ``deltas`` and ``kappas`` are the two discount grids.  Their P = Pd * Pk
+    pairs are the specs, numbered p = i_delta * Pk + i_kappa; n and r are (P,).
 
     With regressor F and e = y - F'm, one step is, once per delta,
         q+ = s0 + F'C+F / delta,   A = C+F / (delta q+),
@@ -80,10 +68,9 @@ class PoolGroup:
     (b, P, d, d) and (b, P) arrays; the first two are copies.
     """
 
-    def __init__(self, idx, n_eq: int, deltas, kappas, s0, c0: float = 100.0,
+    def __init__(self, d: int, n_eq: int, deltas, kappas, s0, c0: float = 100.0,
                  n0: float = 10.0):
-        self.idx = np.asarray(idx, dtype=int)
-        self.d = 1 + self.idx.size
+        self.d = d
         self.deltas = np.asarray(deltas, float)
         self.kappas = np.asarray(kappas, float)
         n_d, n_k = self.deltas.size, self.kappas.size
@@ -123,17 +110,14 @@ class PoolGroup:
         self.s_prev = self._s
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b); F is (d,)
-        shared or (b, d)."""
-        if F.ndim == 1:
-            # C+ is symmetric, so contracting its first index gives C+ F
-            CF = (F @ self._C.reshape(self.d, -1)).reshape(self._m.shape)
-            f = (F @ self._m.reshape(self.d, -1)).reshape(self._m.shape[1:])
-            FCF = (F @ CF.reshape(self.d, -1)).reshape(f.shape)
-        else:
-            CF = np.einsum("ijpb,bj->ipb", self._C, F)
-            f = np.einsum("ipb,bi->pb", self._m, F)
-            FCF = np.einsum("ipb,bi->pb", CF, F)
+        """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b), given each
+        member's regressor row, F (b, d)."""
+        Ft = F.T[:, None]               # (d, 1, b): each column broadcast over the deltas
+        CF = self._C[:, 0] * Ft[0]
+        for j in range(1, self.d):      # a loop, so no (d, d, Pd, b) temporary is made
+            CF += self._C[:, j] * Ft[j]
+        f = (self._m * Ft).sum(axis=0)
+        FCF = (CF * Ft).sum(axis=0)
         qs = self.s0 + FCF / self._delta
         if qs.min() <= 0:
             raise NumericError("non-positive forecast variance in batched filter")
@@ -141,10 +125,11 @@ class PoolGroup:
         return f[:, None], (qs / self.s0)[:, None] * self.s_prev
 
     def log_densities(self, y, f, q) -> np.ndarray:
-        """Log predictive densities per equation and spec, (b, P)."""
+        """Student-t log predictive densities per equation and spec, (b, P)."""
         r = self._r
-        log_norm = gammaln((r + 1.0) / 2.0) - gammaln(r / 2.0)
-        lp = t_logpdf_grid(np.asarray(y, float), f, q, r, log_norm)
+        z2 = (np.asarray(y, float) - f) ** 2 / (r * q)
+        lp = (gammaln((r + 1.0) / 2.0) - gammaln(r / 2.0) - 0.5 * np.log(r * np.pi * q)
+              - (r + 1.0) / 2.0 * np.log1p(z2))
         return lp.reshape(self.P, self.n_eq).T
 
     def update(self, y, f: np.ndarray, q: np.ndarray) -> None:
@@ -217,34 +202,34 @@ def recursive_factor_moments(offsets, a_sel, R_sel, r_sel, s_sel,
     return S
 
 
-def batched_asset_moments(groups, sel_flat: np.ndarray, lam: np.ndarray,
-                          sig: np.ndarray, dof_floor: float = DOF_FLOOR):
+def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
+                          lam: np.ndarray, sig: np.ndarray, dof_floor: float = DOF_FLOOR):
     """Mean vector, loading matrix and idiosyncratic variances of all assets.
 
-    ``sel_flat[j]`` is the flattened (group, member) spec index selected for
-    asset j.  With S the second moments of x = (1, factors) under factor mean
-    ``lam`` and covariance ``sig``, an asset's mean is E[y 1] and its
-    idiosyncratic variance its expected predictive variance.
+    Asset j uses member ``members[j]`` of the groups in sequence, under spec
+    ``p_idx[j]``; the first d columns of ``cols[g]`` are the x-columns of group
+    g's members, over which each selected prior is written out into all of
+    x = (1, factors).  With S the second moments of x under factor mean ``lam``
+    and covariance ``sig``, an asset's mean is E[y 1] and its idiosyncratic
+    variance its expected predictive variance.
     """
-    n_eq, K = groups[0].n_eq, lam.size
-    S = np.empty((K + 1, K + 1))
-    S[0, 0] = 1.0
-    S[0, 1:] = S[1:, 0] = lam
-    S[1:, 1:] = sig + np.outer(lam, lam)
-    mean = np.zeros(n_eq)
-    idio = np.zeros(n_eq)
-    B = np.zeros((n_eq, K))
-    gi, p_idx = np.divmod(sel_flat, groups[0].P)
-    for g, grp in enumerate(groups):
-        mem = np.flatnonzero(gi == g)
-        if mem.size == 0:
-            continue
-        a, R, r, s = grp.selected(mem, p_idx[mem])
-        cols = np.concatenate(([0], grp.idx + 1))
-        yX, idio[mem] = _regression_moments(S[cols[:, None], cols], a, R, r, s, dof_floor)
-        mean[mem] = yX[:, 0]
-        B[mem[:, None], grp.idx[None, :]] = a[:, 1:]
-    return mean, B, idio
+    n, K = members.size, lam.size
+    x_mean = np.concatenate(([1.0], lam))
+    S = np.outer(x_mean, x_mean)
+    S[1:, 1:] += sig
+    a_x, R_x = np.zeros((n, K + 1)), np.zeros((n, K + 1, K + 1))
+    r, s = np.empty(n), np.empty(n)
+    start = 0
+    for grp, c in zip(groups, cols):
+        rows = np.flatnonzero((members >= start) & (members < start + grp.n_eq))
+        mem = members[rows] - start
+        start += grp.n_eq
+        cx = c[mem, :grp.d]
+        a, R, r[rows], s[rows] = grp.selected(mem, p_idx[rows])
+        a_x[rows[:, None], cx] = a
+        R_x[rows[:, None, None], cx[:, :, None], cx[:, None, :]] = R
+    yX, idio = _regression_moments(S, a_x, R_x, r, s, dof_floor)
+    return yX[:, 0], a_x[:, 1:], idio
 
 
 def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray) -> np.ndarray:

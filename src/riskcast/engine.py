@@ -181,7 +181,10 @@ def _normalize_rows(lp: np.ndarray) -> np.ndarray:
 
 
 class _DynamicFactorFilter:
-    """Batched state of the full model: asset pools plus per-position factor pools."""
+    """Batched state of the full model.  Every equation regresses one column
+    of the date's row z_t = (1, factors, returns) on the constant, column 0,
+    and its parents' columns: factor i is column 1 + i and asset j column
+    1 + K + j.  Both blocks are pooled by regression dimension."""
 
     def __init__(self, panel: ReturnPanel, config: RunConfig):
         self.config = config
@@ -194,67 +197,77 @@ class _DynamicFactorFilter:
             raise ParameterError(f"factor_set {fs} empty or outside the panel's {panel.n_factors} factors")
         self.factor_names = tuple(panel.factors[i] for i in fs)
         self.all_factors = fs == tuple(range(panel.n_factors))
-        # every regressor is a set of columns of x_t = (1, factors at t):
-        # column 0 is the constant and column i + 1 is factor i
+        # x_t = (1, factors at t), the leading columns of z_t
         self.X = np.column_stack([np.ones(panel.T), panel.F[:, list(fs)]])
         self.R = panel.R
-        self.K = len(fs)
-        self.N = panel.n_assets
-        if train < self.K + 2:
-            raise ParameterError(f"train_len {train} too short for OLS priors over {self.K} factors")
+        self.K = K = len(fs)
+        self.N = N = panel.n_assets
+        if train < K + 2:
+            raise ParameterError(f"train_len {train} too short for OLS priors over {K} factors")
 
         if config.ordering == "learn":
-            perms = enumerate_orderings(self.K, config.ordering_cap)
+            perms = enumerate_orderings(K, config.ordering_cap)
         else:
-            perms = [tuple(range(self.K))]
+            perms = [tuple(range(K))]
         self.perms = np.array(perms, dtype=int)
         self.n_ord = len(perms)
         self.ordering_log_probs = np.full(self.n_ord, -np.log(self.n_ord))
 
-        # asset pools: one group per parent mask, shared spec layout across assets
+        # asset block: the masks are ordered by parent count, so a pool holds
+        # the (mask, asset) members of consecutive masks, mask-major (asset j
+        # on mask index i is member i N + j of the pools in sequence), and its
+        # specs (mask, delta, kappa) fill contiguous columns of asset_log_probs
         self.P_r = len(config.delta_grid) * len(config.kappa_r_grid)
-        masks = list(range(1, 1 << self.K)) if config.sparsity else [(1 << self.K) - 1]
-        self.masks = masks
+        masks = range(1, 1 << K) if config.sparsity else [(1 << K) - 1]
+        self.masks = np.array(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
+        mi, j = np.divmod(np.arange(len(self.masks) * N), N)
         self.s0_assets = _ols_residual_variance(self.R[:train], self.X[:train])
-        self.asset_groups = [
-            PoolGroup([i for i in range(self.K) if (m >> i) & 1], self.N,
-                      config.delta_grid, config.kappa_r_grid, self.s0_assets)
-            for m in masks
-        ]
-        self.asset_cols = [np.concatenate(([0], grp.idx + 1)) for grp in self.asset_groups]
-        n_specs = len(masks) * self.P_r
-        self.asset_log_probs = np.full((self.N, n_specs), -np.log(n_specs))
-        self.include_mask = np.zeros((n_specs, self.K))
-        for gi, m in enumerate(masks):
-            for i in range(self.K):
-                if (m >> i) & 1:
-                    self.include_mask[gi * self.P_r:(gi + 1) * self.P_r, i] = 1.0
+        self.asset_groups, self.asset_eqs = self._pools(
+            self.masks[mi], 1 + K + j, config.kappa_r_grid,
+            lambda rec: self.s0_assets[rec[:, -1] - 1 - K])
+        n_specs = len(self.masks) * self.P_r
+        self.asset_log_probs = np.full((N, n_specs), -np.log(n_specs))
+        self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
+                                      axis=0).astype(float)
 
-        # factor pools: group j holds each distinct equation of position j
-        # once, as its regressor columns (the constant, then the parents in
-        # sorted order) and its target column; the group's idx only sets the
-        # regression dimension.  factor_eq[j][o] is the member that ordering o
-        # uses there, and factor_offsets[j] its block of o's second moments.
+        # factor block: each distinct equation (parent mask, target) once, in pool
+        # j, its parent count, from row factor_start[j] on.  Ordering o uses row
+        # factor_eq[j, o] at position j, its second moments at factor_offsets[j].
         self.P_f = len(config.delta_grid) * len(config.kappa_f_grid)
-        self.factor_groups, self.factor_log_probs = [], []
-        self.factor_cols, self.factor_targets, self.factor_eq = [], [], []
-        for jj in range(self.K):
-            eqs = [((0, *sorted(i + 1 for i in perm[:jj])), perm[jj] + 1) for perm in perms]
-            keys = sorted(set(eqs))
-            s0 = [_ols_residual_variance(self.X[:train, y], self.X[:train, cols])
-                  for cols, y in keys]
-            self.factor_eq.append(np.array([keys.index(eq) for eq in eqs]))
-            self.factor_cols.append(np.array([cols for cols, _ in keys]))
-            self.factor_targets.append(np.array([y for _, y in keys]))
-            self.factor_groups.append(PoolGroup(list(range(jj)), len(keys),
-                                                config.delta_grid, config.kappa_f_grid, s0))
-            self.factor_log_probs.append(np.full((len(keys), self.P_f), -np.log(self.P_f)))
+        eqs = [[(sum(1 << i for i in p[:jj]), p[jj] + 1) for p in perms] for jj in range(K)]
+        factor_eqs = [eq for pos in eqs for eq in sorted(set(pos))]
+        self.factor_groups, self.factor_eqs = self._pools(
+            *np.array(factor_eqs).T, config.kappa_f_grid,
+            lambda rec: [_ols_residual_variance(self.X[:train, y], self.X[:train, cols])
+                         for *cols, y in rec])
+        self.factor_start = np.cumsum([0] + [g.n_eq for g in self.factor_groups[:-1]])
+        row = {eq: e for e, eq in enumerate(factor_eqs)}
+        self.factor_eq = np.array([[row[eq] for eq in pos] for pos in eqs])
+        self.factor_log_probs = np.full((len(factor_eqs), self.P_f), -np.log(self.P_f))
         self.factor_offsets = moment_offsets([
-            np.column_stack((cols[eq], tg[eq]))
-            for cols, tg, eq in zip(self.factor_cols, self.factor_targets, self.factor_eq)])
+            rec[eq - st] for rec, eq, st in zip(self.factor_eqs, self.factor_eq, self.factor_start)])
 
+        self.pools = list(zip(self.asset_groups + self.factor_groups,
+                              self.asset_eqs + self.factor_eqs))
         self._executor = (ThreadPoolExecutor(max_workers=config.threads)
                           if config.threads > 1 else None)
+
+    def _pools(self, masks, targets, kappas, prior_scales):
+        """One PoolGroup per regression dimension d for the equations, given by
+        parent count, that regress column targets[e] of z_t on the constant and
+        the parents in bit mask masks[e], with its members' records (b, d + 1):
+        regressor columns, then target, in Fortran order so that each column
+        gathered through them is contiguous.  ``prior_scales`` maps records to s0."""
+        in_x = ((masks[:, None] << 1 | 1) >> np.arange(self.K + 1)) & 1
+        dims = in_x.sum(axis=1)
+        groups, records = [], []
+        for d in np.unique(dims):
+            rows = np.flatnonzero(dims == d)
+            cols = np.nonzero(in_x[rows])[1].reshape(-1, d)
+            records.append(np.asfortranarray(np.column_stack((cols, targets[rows]))))
+            groups.append(PoolGroup(int(d), rows.size, self.config.delta_grid, kappas,
+                                    prior_scales(records[-1])))
+        return groups, records
 
     def close(self) -> None:
         if self._executor is not None:
@@ -276,29 +289,31 @@ class _DynamicFactorFilter:
         factor mixture mean, factor mixture covariance, selection record).
         """
         cfg = self.config
-        self._map(lambda g: g.evolve(), self.asset_groups + self.factor_groups)
+        self._map(lambda pool: pool[0].evolve(), self.pools)
 
         # factor block: select per equation on predicted probabilities, then
-        # gather each ordering's equations.  The predicted log probabilities
-        # of the equation pools stay unnormalized: argmax ignores the row
-        # constant, and update_step normalizes after adding the densities.
-        lp_pred_f = [cfg.alpha * lp for lp in self.factor_log_probs]
-        sel_f = [np.argmax(lp, axis=1) for lp in lp_pred_f]
+        # gather each ordering's equations.  Predicted log probabilities stay
+        # unnormalized: argmax ignores the row constant, and update_step
+        # normalizes after adding the densities.
+        lp_pred_f = cfg.alpha * self.factor_log_probs
+        sel_f = np.argmax(lp_pred_f, axis=1)
         a_sel, R_sel, r_sel, s_sel = zip(*(
-            grp.selected(eq, sel[eq])
-            for grp, eq, sel in zip(self.factor_groups, self.factor_eq, sel_f)))
+            grp.selected(eq - st, sel_f[eq])
+            for grp, eq, st in zip(self.factor_groups, self.factor_eq, self.factor_start)))
         S = recursive_factor_moments(self.factor_offsets, a_sel, R_sel, r_sel, s_sel)
         if np.any(np.concatenate(r_sel) <= DOF_FLOOR):
             warnings.warn("factor equation degrees of freedom at the floor", RuntimeWarning)
         lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
         lam, sig = mixture_factor_moments(lp_ord_pred, S)
 
-        # asset block: select per asset on predicted probabilities
+        # asset block: select per asset; the asset pools share r = kappa n
         lp_pred_assets = cfg.alpha * self.asset_log_probs
         sel_assets = np.argmax(lp_pred_assets, axis=1)
-        if np.any(np.concatenate([g.r for g in self.asset_groups])[sel_assets] <= DOF_FLOOR):
+        mask_idx, p_idx = np.divmod(sel_assets, self.P_r)
+        if np.any(self.asset_groups[0].r[p_idx] <= DOF_FLOOR):
             warnings.warn("asset equation degrees of freedom at the floor", RuntimeWarning)
-        mean, B, idio = batched_asset_moments(self.asset_groups, sel_assets, lam, sig)
+        mean, B, idio = batched_asset_moments(self.asset_groups, self.asset_eqs,
+                                              mask_idx * self.N + np.arange(self.N), p_idx, lam, sig)
         selection = (sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f)
         return mean, B, idio, lam, sig, selection
 
@@ -308,33 +323,28 @@ class _DynamicFactorFilter:
         Returns the asset-block log predictive density of the selected models.
         """
         sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f = selection
-        x = self.X[t]
-        yR = self.R[t]
+        z = np.concatenate((self.X[t], self.R[t]))
 
-        # factor pools
-        joint = np.zeros(self.n_ord)
-        for jj, grp in enumerate(self.factor_groups):
-            eq = self.factor_eq[jj]
-            y = x[self.factor_targets[jj]]
-            f, q = grp.forecast(x[self.factor_cols[jj]])
-            dens = grp.log_densities(y, f, q)
-            joint += dens[eq, sel_f[jj][eq]]
-            self.factor_log_probs[jj] = _normalize_rows(lp_pred_f[jj] + dens)
-            grp.update(y, f, q)
-        self.ordering_log_probs = _normalize_rows(lp_ord_pred + joint)
-
-        # asset pools
-        def advance(item):
-            grp, cols = item
-            f, q = grp.forecast(x[cols])
-            dens = grp.log_densities(yR, f, q)
-            grp.update(yR, f, q)
+        def advance(pool):
+            grp, eqs = pool
+            z_eq = z[eqs]
+            f, q = grp.forecast(z_eq[:, :-1])
+            dens = grp.log_densities(z_eq[:, -1], f, q)
+            grp.update(z_eq[:, -1], f, q)
             return dens
 
-        dens_groups = self._map(advance, list(zip(self.asset_groups, self.asset_cols)))
-        dens_all = np.concatenate(dens_groups, axis=1)
-        self.asset_log_probs = _normalize_rows(lp_pred_assets + dens_all)
-        return float(dens_all[np.arange(self.N), sel_assets].sum())
+        dens = self._map(advance, self.pools)
+        n_a = len(self.asset_groups)
+        dens_f = np.concatenate(dens[n_a:])
+        joint = dens_f[self.factor_eq, sel_f[self.factor_eq]].sum(axis=0)
+        self.factor_log_probs = _normalize_rows(lp_pred_f + dens_f)
+        self.ordering_log_probs = _normalize_rows(lp_ord_pred + joint)
+
+        # a pool's densities (masks x N, P) become its columns (N, masks x P)
+        dens_a = np.concatenate([d.reshape(-1, self.N, d.shape[1]).transpose(1, 0, 2)
+                                 for d in dens[:n_a]], axis=1).reshape(self.N, -1)
+        self.asset_log_probs = _normalize_rows(lp_pred_assets + dens_a)
+        return float(dens_a[np.arange(self.N), sel_assets].sum())
 
     def inclusion(self) -> np.ndarray:
         """Posterior inclusion probability of each factor in each asset's

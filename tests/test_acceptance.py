@@ -49,10 +49,10 @@ def test_criterion_1_conjugacy_oracle():
         n0 = float(rng.uniform(3, 20))
         s0 = float(rng.uniform(0.1, 4))
         # one equation, one spec (delta = kappa = 1); X[t] is the whole regressor
-        group = PoolGroup(range(d - 1), 1, [1.0], [1.0], s0, c0=100.0, n0=n0)
+        group = PoolGroup(d, 1, [1.0], [1.0], s0, c0=100.0, n0=n0)
         for t in range(T):
             group.evolve()
-            f, q = group.forecast(X[t])
+            f, q = group.forecast(X[t:t + 1])
             group.update(y[t:t + 1], f, q)
         m, C, n, s = batch_nig_posterior(X, y, np.zeros(d), 100.0 * np.eye(d), n0, s0)
         worst = max(worst,
@@ -127,19 +127,20 @@ def _draw_factor_block(priors, perm, n, rng):
 
 def _batched_asset_moments(sels, lam, sig):
     """Asset mean and covariance from ``batched_asset_moments``, assembled as
-    the engine does.  Each equation's prior is loaded into a one-spec
-    ``PoolGroup`` of its own, since a group holds one dof per spec and the
-    priors differ in r.  With delta = 1 and s = s0 the stored scale-free
-    covariance C s0 / s is the prior scale R itself."""
+    the engine does.  Each equation's prior is loaded into a one-member,
+    one-spec ``PoolGroup`` of its own, since a group holds one dof per spec
+    and the priors differ in r.  With delta = 1 and s = s0 the stored
+    scale-free covariance C s0 / s is the prior scale R itself."""
     N = len(sels)
-    groups = []
-    for j, (idx, pr) in enumerate(sels):
-        grp = PoolGroup(idx, N, [1.0], [1.0], pr.s_prev, n0=pr.r)
-        grp._m[:, 0, j] = pr.a
-        grp._C[:, :, 0, j] = pr.R
+    groups, cols = [], []
+    for idx, pr in sels:
+        grp = PoolGroup(1 + len(idx), 1, [1.0], [1.0], pr.s_prev, n0=pr.r)
+        grp._m[:, 0, 0] = pr.a
+        grp._C[:, :, 0, 0] = pr.R
         grp.evolve()
         groups.append(grp)
-    mean, B, idio = batched_asset_moments(groups, np.arange(N), lam, sig)
+        cols.append(np.array([[0, *(i + 1 for i in idx)]]))
+    mean, B, idio = batched_asset_moments(groups, cols, np.arange(N), np.zeros(N, int), lam, sig)
     return mean, asset_covariance(B, sig, idio)
 
 

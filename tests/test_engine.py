@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from riskcast import dlm, engine, portfolio as pf, recouple
-from riskcast._batch import (PoolGroup, batched_asset_moments, moment_offsets,
+from riskcast._batch import (PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
                              recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
@@ -38,11 +38,11 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
     """Advance a PoolGroup and the scalar ``dlm`` kernel side by side.
 
     With ``per_equation_regressors`` every equation gets its own regressor
-    row, F of shape (b, d), as the factor pools use it; otherwise F is one
-    (d,) vector shared by all equations, as in the asset pools.  From step
-    ``jump_at`` on, the observations' scale is 4 times larger.  ``tol`` and
-    ``dens_tol`` are the ``assert_allclose`` tolerances of the states and
-    forecasts and of the densities.
+    row in F (b, d); otherwise F is one row broadcast to all equations, as
+    ``FactorWishartDLM`` passes it.  From step ``jump_at`` on, the
+    observations' scale is 4 times larger.  ``tol`` and ``dens_tol`` are the
+    ``assert_allclose`` tolerances of the states and forecasts and of the
+    densities.
     """
     tol = tol or dict(rtol=0, atol=1e-12)
     dens_tol = dens_tol or dict(rtol=0, atol=1e-10)
@@ -50,7 +50,7 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
     specs = [(dl, kp) for dl in deltas for kp in kappas]    # the kernel's spec order
     P = len(specs)
     s0 = rng.uniform(0.5, 2.0, size=3)
-    group = PoolGroup([0, 1], 3, deltas, kappas, s0)
+    group = PoolGroup(3, 3, deltas, kappas, s0)
     # one mean and covariance per delta, s per (delta, kappa)
     assert group._m.shape == (3, len(deltas), 3)
     assert group._C.shape == (3, 3, len(deltas), 3)
@@ -60,7 +60,7 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
         if per_equation_regressors:
             Freg = np.column_stack([np.ones(3), rng.normal(size=(3, 2))])
         else:
-            Freg = np.concatenate(([1.0], rng.normal(size=2)))
+            Freg = np.broadcast_to(np.concatenate(([1.0], rng.normal(size=2))), (3, 3))
         y = rng.normal(size=3) * (4.0 if jump_at is not None and t >= jump_at else 1.0)
         group.evolve()
         f, q = group.forecast(Freg)
@@ -69,13 +69,12 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
         ref = {k: np.zeros((3, P)) for k in ("f", "q", "dens", "s")}
         ref_m, ref_C = np.zeros((3, P, 3)), np.zeros((3, P, 3, 3))
         for b in range(3):
-            Fb = Freg[b] if per_equation_regressors else Freg
             for p, (dl, kp) in enumerate(specs):
                 prior = dlm.evolve(states[b][p], dl, kp)
-                fc = dlm.forecast(prior, Fb)
+                fc = dlm.forecast(prior, Freg[b])
                 ref["f"][b, p], ref["q"][b, p] = fc.f, fc.q
                 ref["dens"][b, p] = dlm.log_predictive_density(fc, float(y[b]))
-                states[b][p] = dlm.update(prior, Fb, float(y[b]))
+                states[b][p] = dlm.update(prior, Freg[b], float(y[b]))
                 ref_m[b, p], ref_C[b, p] = states[b][p].m, states[b][p].C
                 ref["s"][b, p] = states[b][p].s
         # f is (Pd, 1, b) and q is (Pd, Pk, b); spec p = i_delta * Pk + i_kappa
@@ -181,8 +180,9 @@ class TestBatchedKernelEquivalence:
                 for o, perm in enumerate(flt.perms):
                     priors = []
                     for j, grp in enumerate(flt.factor_groups):
-                        eq = flt.factor_eq[j][o]
-                        a, R, r, s = grp.selected(np.array([eq]), sel_f[j][[eq]])
+                        eq = flt.factor_eq[j, o]
+                        a, R, r, s = grp.selected(np.array([eq - flt.factor_start[j]]),
+                                                  sel_f[[eq]])
                         # the equation stores its parents sorted; reorder them as perm
                         order = [0, *(1 + np.searchsorted(np.sort(perm[:j]), perm[:j]))]
                         priors.append(dlm.PriorState(a[0][order], R[0][np.ix_(order, order)],
@@ -198,8 +198,11 @@ class TestBatchedKernelEquivalence:
         rng = np.random.default_rng(2)
         K, N = 2, 5
         deltas, kappas = [1.0], [1.0]
-        groups = [PoolGroup([i for i in range(K) if (m >> i) & 1], N, deltas, kappas,
-                            rng.uniform(1e-4, 1e-3, N)) for m in range(1, 1 << K)]
+        parents = [[i for i in range(K) if (m >> i) & 1] for m in range(1, 1 << K)]
+        # one group per mask, every asset a member of each
+        groups = [PoolGroup(1 + len(idx), N, deltas, kappas, rng.uniform(1e-4, 1e-3, N))
+                  for idx in parents]
+        cols = [np.broadcast_to([0, *(np.array(idx) + 1)], (N, 1 + len(idx))) for idx in parents]
         for grp in groups:
             grp.evolve()
             # desynchronize states so the test is not trivial
@@ -207,19 +210,60 @@ class TestBatchedKernelEquivalence:
         lam = rng.normal(size=K) * 0.01
         A = rng.normal(size=(K, K)) * 0.02
         sig = A @ A.T + 1e-4 * np.eye(K)
-        sel = rng.integers(0, len(groups), size=N)  # P = 1, flat index = group index
-        mean, B, idio = batched_asset_moments(groups, sel, lam, sig)
+        sel = rng.integers(0, len(groups), size=N)
+        members = sel * N + np.arange(N)
+        mean, B, idio = batched_asset_moments(groups, cols, members, np.zeros(N, int), lam, sig)
         sels = []
         for j in range(N):
             g = groups[sel[j]]
             # delta = 1, so the prior scale R is C
             prior = dlm.PriorState(g.m[j, 0], g.C[j, 0], float(g.r[0]), float(g.s[j, 0]))
-            sels.append((g.idx, prior))
+            sels.append((parents[sel[j]], prior))
         ref = recouple.asset_moments(lam, sig, sels)
         np.testing.assert_allclose(mean, ref.asset_mean, atol=1e-13)
         cov = B @ sig @ B.T
         cov[np.diag_indices(N)] += idio
         np.testing.assert_allclose(cov, ref.asset_cov, atol=1e-13)
+
+    @pytest.mark.parametrize("K", [3, 5])
+    def test_stacked_asset_pools_match_one_group_per_mask(self, K):
+        # the engine stacks the (mask, asset) members of all masks with one
+        # parent count into a pool; the reference keeps one PoolGroup per mask,
+        # its one regressor row broadcast to every asset, in the spec layout
+        # of asset_log_probs (mask in flt.masks order, then delta, then kappa)
+        panel = small_panel(seed=22, N=4, K=K, T=60, train=30)
+        cfg = RunConfig(ordering="fixed")
+        flt = _DynamicFactorFilter(panel, cfg)
+        N = panel.n_assets
+        parents = [[i for i in range(K) if (m >> i) & 1] for m in flt.masks]
+        ref = [PoolGroup(1 + len(p), N, cfg.delta_grid, cfg.kappa_r_grid, flt.s0_assets)
+               for p in parents]
+        lp = flt.asset_log_probs.copy()
+        for t in range(panel.T):
+            mean, B, idio, lam, sig, selection = flt.forecast_step()
+            for grp in ref:
+                grp.evolve()
+            sel = np.argmax(cfg.alpha * lp, axis=1)
+            np.testing.assert_array_equal(selection[0], sel)
+            sels = []
+            for j, (mi, p) in enumerate(zip(*np.divmod(sel, flt.P_r))):
+                a, R, r, s = ref[mi].selected(np.array([j]), np.array([p]))
+                sels.append((parents[mi], dlm.PriorState(a[0], R[0], float(r[0]), float(s[0]))))
+            moments = recouple.asset_moments(lam, sig, sels)
+            np.testing.assert_allclose(mean, moments.asset_mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(asset_covariance(B, sig, idio), moments.asset_cov,
+                                       rtol=0, atol=1e-12)
+            flt.update_step(t, selection)
+            dens = []
+            for grp, p in zip(ref, parents):
+                F = np.broadcast_to(flt.X[t, [0, *(np.array(p, int) + 1)]], (N, grp.d))
+                f, q = grp.forecast(F)
+                dens.append(grp.log_densities(panel.R[t], f, q))
+                grp.update(panel.R[t], f, q)
+            lp = cfg.alpha * lp + np.concatenate(dens, axis=1)
+            lp -= scipy_logsumexp(lp, axis=1, keepdims=True)
+            np.testing.assert_allclose(flt.asset_log_probs, lp, rtol=0, atol=1e-12)
+        flt.close()
 
 
 def reference_singleton_run(panel):
@@ -465,18 +509,22 @@ class TestEngineBehaviors:
         # one fit for all assets, one per (parent set, target): K 2^(K-1)
         assert len(calls) == 1 + 4 * 2 ** 3
         train = panel.train_len
-        for jj, grp in enumerate(flt.factor_groups):
+        s_factor = np.concatenate([grp.s[:, 0] for grp in flt.factor_groups])
+        for jj in range(flt.K):
             for o, perm in enumerate(flt.perms):
                 X = np.column_stack([np.ones(train), panel.F[:train, list(perm[:jj])]])
                 y = panel.F[:train, perm[jj]]
                 coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-                eq = flt.factor_eq[jj][o]
-                assert grp.s[eq, 0] == pytest.approx((y - X @ coef).var(), rel=1e-12)
+                eq = flt.factor_eq[jj, o]
+                assert s_factor[eq] == pytest.approx((y - X @ coef).var(), rel=1e-12)
+        # every mask of an asset starts from the asset's one fit
+        s_asset = np.concatenate([grp.s[:, 0] for grp in flt.asset_groups])
         X = np.column_stack([np.ones(train), panel.F[:train]])
         for j in range(panel.n_assets):
             coef, *_ = np.linalg.lstsq(X, panel.R[:train, j], rcond=None)
             resid = panel.R[:train, j] - X @ coef
-            assert flt.asset_groups[0].s[j, 0] == pytest.approx(resid.var(), rel=1e-12)
+            # asset j on mask index i is member i N + j
+            np.testing.assert_allclose(s_asset[j::panel.n_assets], resid.var(), rtol=1e-12)
 
     @pytest.mark.parametrize("block, grid", [("asset", "kappa_r_grid"),
                                              ("factor", "kappa_f_grid")])

@@ -66,27 +66,41 @@ class TestBuildPool:
         # x 3 deltas x 2 kappas = 6 models at every position; a fixed
         # ordering has one equation per position
         flt = make_filter(K=3, delta_grid=(0.95, 0.975, 1.0), kappa_f_grid=(0.999, 1.0))
+        assert flt.factor_log_probs.shape == (3, 6)
         for jj, grp in enumerate(flt.factor_groups):
-            assert list(grp.idx) == list(range(jj))
+            assert grp.d == jj + 1
             assert grp.P == 6
             assert grp.n_eq == 1
-            assert flt.factor_log_probs[jj].shape == (1, 6)
-            # columns of x = (1, factors): the constant, then factor i at i + 1
-            assert flt.factor_cols[jj].tolist() == [list(range(jj + 1))]
-            assert flt.factor_targets[jj].tolist() == [jj + 1]
+            assert flt.factor_eq[jj].tolist() == [jj]
+            # columns of x = (1, factors): the constant, then factor i at i + 1;
+            # the record ends with the target column
+            assert flt.factor_eqs[jj].tolist() == [list(range(jj + 2))]
         # learned orderings share equations: position j holds each (sorted
         # parent set, target) once, C(K, j) (K - j) members, K 2^(K-1) in all
         K = 4
         flt = _DynamicFactorFilter(panel_with(K), RunConfig(ordering="learn"))
         assert [grp.n_eq for grp in flt.factor_groups] == [4, 12, 12, 4]
-        assert sum(grp.n_eq for grp in flt.factor_groups) == K * 2 ** (K - 1)
-        for jj, grp in enumerate(flt.factor_groups):
-            assert flt.factor_log_probs[jj].shape == (grp.n_eq, grp.P)
-            members = list(zip(map(tuple, flt.factor_cols[jj].tolist()),
-                               flt.factor_targets[jj].tolist()))
-            assert len(set(members)) == grp.n_eq
+        assert flt.factor_log_probs.shape == (K * 2 ** (K - 1), flt.P_f)
+        members = [(tuple(eq[:-1]), eq[-1]) for eqs in flt.factor_eqs for eq in eqs.tolist()]
+        assert len(set(members)) == len(members)
+        for jj in range(K):
             for o, perm in enumerate(flt.perms):
-                assert members[flt.factor_eq[jj][o]] == ((0, *sorted(perm[:jj] + 1)), perm[jj] + 1)
+                assert members[flt.factor_eq[jj, o]] == ((0, *sorted(perm[:jj] + 1)), perm[jj] + 1)
+
+    @pytest.mark.parametrize("sparsity", [True, False])
+    def test_asset_equation_layout(self, sparsity):
+        # one pool per parent count; asset j on mask m regresses column
+        # 1 + K + j of (1, factors, returns) on (0, parents of m + 1)
+        K, N = 3, 4
+        flt = make_filter(K=K, N=N, sparsity=sparsity)
+        assert len(flt.asset_groups) == (K if sparsity else 1)
+        assert sorted(flt.masks) == (list(range(1, 1 << K)) if sparsity else [(1 << K) - 1])
+        members = [(tuple(eq[:-1]), eq[-1]) for eqs in flt.asset_eqs for eq in eqs.tolist()]
+        assert len(members) == N * len(flt.masks)
+        for j in range(N):
+            for mi, m in enumerate(flt.masks):
+                parents = tuple(i + 1 for i in range(K) if (m >> i) & 1)
+                assert members[mi * N + j] == ((0, *parents), 1 + K + j)
 
     def test_zero_factor_asset_equation_rejected(self):
         with pytest.raises(ParameterError, match="factor_set"):
