@@ -2,28 +2,22 @@
 
 Pool members are stacked into arrays so that every equation with the same
 regression dimension advances in one set of array operations: axis ``b``
-runs over equations, each with its own regressor row (assets on parent masks
-of one size, or factor equations of one ordering position).  Every equation
-is filtered under each pair of a loading discount delta and a volatility
-discount kappa.
+runs over equations (assets on parent masks of one size, or factor equations
+of one ordering position), each filtered under every pair of a loading
+discount delta and a volatility discount kappa.
 
-Under variance discounting the posterior mean m and the scaled covariance
-C / s do not depend on kappa, which enters only s and the degrees of freedom
-n (West & Harrison 1997, sec. 10.8; Prado & West 2010, sec. 4.3).  So m and
-the scale-free covariance C+ = C s0 / s are kept once per delta, and s once
-per (delta, kappa); s0 is the equation's prior scale.  Scaling by s0 / s
-rather than 1 / s starts C+ at exactly c0 I, so the diffuse first updates
-keep the arithmetic of an unscaled filter instead of amplifying the rounding
-in s0 by c0 / s0.
-
-Equations are the contiguous innermost axis: ``_m`` is (d, Pd, b), ``_C`` is
-(d, d, Pd, b) and ``_s`` is (Pd, Pk, b) for Pd deltas and Pk kappas, so
-elementwise passes run over rows of b, with per-delta and per-kappa factors
-broadcast over them.  The recursions are those of the ``dlm`` module; the
-test suite asserts equivalence against that per-state reference kernel.
-
-Degrees of freedom evolve as n <- kappa * n + 1 independently of the data,
-so ``n`` is stored once per discount pair rather than per equation.
+Each equation starts from the conjugate prior C0 = c0 s0 I on the scale of
+its prior variance s0 (West & Harrison 1997, sec. 16.4; Prado & West 2010,
+sec. 4.3).  Under variance discounting the scale-free covariance C* = C / s
+then starts at c0 I and evolves through the regressor row and delta alone:
+the data, s0 and kappa enter only s and the degrees of freedom n, and n,
+which ignores the data (n <- kappa n + 1), is kept once per spec.  So the
+members of a pool that regress on one row, a group per parent mask, share
+one C* per delta: ``_C`` is (d, d, Pd, G) for G groups, ``_m`` (d, Pd, b)
+and ``_s`` (Pd, Pk, b) for Pd deltas and Pk kappas.  Equations are the
+contiguous innermost axis, so elementwise passes run over rows of b.  The
+recursions are those of the ``dlm`` module; the test suite asserts
+equivalence against that per-state reference kernel.
 
 Recoupling works in the second moments S = E[x x'] of x = (1, factors): a
 selected regression of y on columns X of x gives E[y X] = S_XX a and
@@ -40,56 +34,62 @@ from .errors import NumericError
 
 # floor on predictive dof in r/(r-2), so a deep volatility discount cannot abort a run
 DOF_FLOOR = 2.05
+# prior scale C0 = C0_STAR * s0 * I, in units of the equation's prior variance s0,
+# and prior dof N0; chosen on held-out LPD (see engine.DEFAULT_DELTA_GRID)
+C0_STAR, N0 = 1e3, 5.0
 
 
 class PoolGroup:
     """States of all pool members with one regression dimension d.
 
-    Member b regresses on row b of the F (b, d) given to ``forecast``.
-    ``deltas`` and ``kappas`` are the two discount grids.  Their P = Pd * Pk
-    pairs are the specs, numbered p = i_delta * Pk + i_kappa; n and r are (P,).
+    The members form ``groups`` groups of N = n_eq / groups consecutive
+    members (by default one per member), and every member of group g
+    regresses on row g of the F (groups, d) given to ``forecast``.  ``deltas``
+    and ``kappas`` are the two discount grids.  Their P = Pd * Pk pairs are the
+    specs, numbered p = i_delta * Pk + i_kappa; n and r are (P,).
 
-    With regressor F and e = y - F'm, one step is, once per delta,
-        q+ = s0 + F'C+F / delta,   A = C+F / (delta q+),
-        m <- m + A e,   C+ <- C+ / delta - A A' q+,
-    and once per (delta, kappa), with q = q+ s_prev / s0 the forecast
-    variance, z = (r + e^2 / q) / (r + 1) and s <- s z.  Writing
-    C = C+ s / s0, these are the ``dlm`` recursions of every spec.
+    With regressor F and e = y - F'm, one step is, once per delta and group,
+        q* = 1 + F'C*F / delta,   A = C*F / (delta q*),   C* <- C* / delta - A A' q*,
+    once per delta and member m <- m + A e, and once per (delta, kappa) and
+    member, with q = q* s_prev the forecast variance, z = (r + e^2 / q) / (r + 1)
+    and s <- s z.  Writing C = C* s, these are the ``dlm`` recursions of every
+    spec, from m = 0, C = c0 s0 I, s = s0 and n = n0.
 
     The evolution has identity transition, so it moves nothing: the prior
     mean is m and the prior scale R is C / delta, which ``forecast`` and
     ``update`` fold in instead of materializing.  ``update`` advances the
     state in place, so ``s_prev`` (an alias of ``_s``) holds the prior scale
-    only between ``evolve`` and ``update``.  C+ stays exactly symmetric: the
-    update scales it elementwise and subtracts the outer product g g', whose
-    (i, j) and (j, i) entries are the same product.
+    only between ``evolve`` and ``update``.  C* stays exactly symmetric: the
+    update scales it elementwise and subtracts (A_i A_j) q*, the same product
+    at (i, j) and (j, i).
 
     ``m``, ``C`` and ``s`` return the state per spec, as (b, P, d),
     (b, P, d, d) and (b, P) arrays; the first two are copies.
     """
 
-    def __init__(self, d: int, n_eq: int, deltas, kappas, s0, c0: float = 100.0,
-                 n0: float = 10.0):
+    def __init__(self, d: int, n_eq: int, deltas, kappas, s0, c0: float = C0_STAR,
+                 n0: float = N0, groups: int | None = None):
         self.d = d
         self.deltas = np.asarray(deltas, float)
         self.kappas = np.asarray(kappas, float)
         n_d, n_k = self.deltas.size, self.kappas.size
         self.P = n_d * n_k
         self.n_eq = n_eq
-        self._delta = self.deltas[:, None]          # broadcasts over (Pd, b)
+        self.groups = G = n_eq if groups is None else groups
+        self._delta = self.deltas[:, None]          # broadcasts over (Pd, b) and (Pd, G)
         self._kappa = np.tile(self.kappas, n_d)     # per spec
-        self.s0 = np.broadcast_to(np.asarray(s0, float), (n_eq,)).copy()
-        self._m = np.zeros((self.d, n_d, n_eq))
-        self._C = np.zeros((self.d, self.d, n_d, n_eq))
-        diag = np.arange(self.d)
-        self._C[diag, diag] = c0
-        self._s = np.broadcast_to(self.s0, (n_d, n_k, n_eq)).copy()
+        self._m = np.zeros((d, n_d, n_eq))
+        self._m_grouped = self._m.reshape(d, n_d, G, n_eq // G)     # a view
+        self._s_grouped = (n_d, n_k, G, n_eq // G)
+        self._C = np.zeros((d, d, n_d, G))
+        self._C[np.arange(d), np.arange(d)] = c0
+        self._s = np.broadcast_to(np.asarray(s0, float), (n_d, n_k, n_eq)).copy()
         self.n = np.full(self.P, n0)
         # evolved prior quantities, populated by evolve()
         self.r = self._r = None     # r per spec (P,), and as (Pd, Pk, 1)
         self._r_shape = (n_d, n_k, 1)
         self.s_prev = None
-        self._CF = self._qs = None  # C+F and q+ from forecast(), consumed by update()
+        self._CF = self._qs = None  # C*F and q* from forecast(), consumed by update()
 
     @property
     def m(self) -> np.ndarray:
@@ -97,7 +97,7 @@ class PoolGroup:
 
     @property
     def C(self) -> np.ndarray:
-        C = self._C[:, :, :, None, :] * (self._s / self.s0)
+        C = self._C[:, :, :, None, :, None] * self._s.reshape(self._s_grouped)
         return C.reshape(self.d, self.d, self.P, self.n_eq).transpose(3, 2, 0, 1)
 
     @property
@@ -111,18 +111,16 @@ class PoolGroup:
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b), given each
-        member's regressor row, F (b, d)."""
-        Ft = F.T[:, None]               # (d, 1, b): each column broadcast over the deltas
-        CF = self._C[:, 0] * Ft[0]
-        for j in range(1, self.d):      # a loop, so no (d, d, Pd, b) temporary is made
-            CF += self._C[:, j] * Ft[j]
-        f = (self._m * Ft).sum(axis=0)
-        FCF = (CF * Ft).sum(axis=0)
-        qs = self.s0 + FCF / self._delta
+        group's regressor row, F (groups, d)."""
+        Ft = F.T[:, None]               # (d, 1, G): each column broadcast over the deltas
+        CF = (self._C * Ft).sum(axis=1)
+        qs = 1.0 + (CF * Ft).sum(axis=0) / self._delta
         if qs.min() <= 0:
             raise NumericError("non-positive forecast variance in batched filter")
         self._CF, self._qs = CF, qs
-        return f[:, None], (qs / self.s0)[:, None] * self.s_prev
+        f = (self._m_grouped * Ft[..., None]).sum(axis=0)
+        q = qs[:, None, :, None] * self.s_prev.reshape(self._s_grouped)
+        return f.reshape(-1, 1, self.n_eq), q.reshape(self.s_prev.shape)
 
     def log_densities(self, y, f, q) -> np.ndarray:
         """Student-t log predictive densities per equation and spec, (b, P)."""
@@ -135,7 +133,7 @@ class PoolGroup:
     def update(self, y, f: np.ndarray, q: np.ndarray) -> None:
         """Posterior update in place, given the realized y and the forecast (f, q).
 
-        Uses the C+F and q+ of the preceding ``forecast`` call, so the
+        Uses the C*F and q* of the preceding ``forecast`` call, so the
         regressor is the one given there.
         """
         e = np.asarray(y, float) - f
@@ -143,24 +141,23 @@ class PoolGroup:
         z = (r + e * e / q) / (r + 1.0)
         A, qs = self._CF, self._qs
         self._CF = self._qs = None
-        A /= self._delta * qs           # adaptive vector C+F / (delta q+)
-        self._m += A * e[:, 0]
-        A *= np.sqrt(qs)                # g, with g g' = A A' q+
+        A /= self._delta * qs           # adaptive vector C*F / (delta q*)
+        self._m_grouped += A[..., None] * e.reshape(self._m_grouped.shape[1:])
         self._C /= self._delta
-        self._C -= A[:, None] * A[None, :]
+        self._C -= A[:, None] * A[None, :] * qs
         self._s *= z
         self.n = self.r + 1.0
 
     def selected(self, members: np.ndarray, p_idx: np.ndarray):
         """Gather the evolved prior of chosen members: (a, R, r, s_prev).
 
-        ``p_idx`` is the spec of each member; R = C+ s_prev / (s0 delta).
+        ``p_idx`` is the spec of each member; R = C* s_prev / delta.
         """
         di = p_idx // self.kappas.size
         s_prev = self.s_prev.reshape(self.P, self.n_eq)[p_idx, members]
         a = self._m[:, di, members].T
-        R = (self._C[:, :, di, members].transpose(2, 0, 1)
-             * (s_prev / (self.s0[members] * self.deltas[di]))[:, None, None])
+        R = (self._C[:, :, di, members // (self.n_eq // self.groups)].transpose(2, 0, 1)
+             * (s_prev / self.deltas[di])[:, None, None])
         return a, R, self.r[p_idx], s_prev
 
 

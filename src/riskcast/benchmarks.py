@@ -170,7 +170,7 @@ class FactorWishartDLM:
 
     The asset filters are one ``PoolGroup`` with every factor as a parent and
     a single (delta, kappa) pair, so all assets advance in one set of array
-    operations on the row (1, factors) broadcast to each; their predictive
+    operations on their one shared row (1, factors), as one group; their predictive
     moments come from ``batched_asset_moments`` given the factor forecast.
     The recursions are those of ``dlm.evolve`` / ``dlm.update`` and
     ``recouple.asset_moments``, which remain the reference in the tests.
@@ -180,7 +180,7 @@ class FactorWishartDLM:
                  delta: float = 0.997, kappa: float = 0.99, s0_diag: float = 0.1):
         self.factor_state = initial_wishart_state(n_factors, s0_diag, delta, kappa)
         s0 = np.maximum(np.broadcast_to(np.asarray(s0_assets, float), (n_assets,)), 1e-12)
-        self.assets = _batch.PoolGroup(1 + n_factors, n_assets, (delta,), (kappa,), s0)
+        self.assets = _batch.PoolGroup(1 + n_factors, n_assets, (delta,), (kappa,), s0, groups=1)
         # (columns, member, spec) of every asset for batched_asset_moments
         cols = np.broadcast_to(np.arange(1 + n_factors), (n_assets, 1 + n_factors))
         self._sel = ([cols], np.arange(n_assets), np.zeros(n_assets, dtype=int))
@@ -196,6 +196,6 @@ class FactorWishartDLM:
             raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
         mean, B, idio = _batch.batched_asset_moments([grp], *self._sel, lam, sig_f, dof_floor=2.0)
         F = np.concatenate(([1.0], np.asarray(y_factors, float)))
-        f, q = grp.forecast(np.broadcast_to(F, (grp.n_eq, grp.d)))
+        f, q = grp.forecast(F[None])
         grp.update(y_assets, f, q)
         return mean, _batch.asset_covariance(B, sig_f, idio)

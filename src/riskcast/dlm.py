@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ._batch import C0_STAR, N0
 from .errors import NumericError, ParameterError, ShapeError
 
 SYMMETRY_TOL = 1e-10
@@ -99,8 +100,8 @@ class TForecast:
             raise ParameterError(f"need q > 0 and dof > 0, got q={self.q}, dof={self.dof}")
 
 
-def init_state(dim: int, s0: float) -> NGState:
-    """Default starting state: zero mean, scale 100*I, 10 degrees of freedom.
+def init_state(dim: int, s0: float, c0: float = C0_STAR) -> NGState:
+    """Default starting state: zero mean, scale c0 * s0 * I, N0 degrees of freedom.
 
     ``s0`` is conventionally the OLS residual variance of the equation over
     the training window.
@@ -109,7 +110,7 @@ def init_state(dim: int, s0: float) -> NGState:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if s0 <= 0:
         raise ParameterError(f"s0 must be > 0, got {s0}")
-    return NGState(np.zeros(dim), 100.0 * np.eye(dim), 10.0, float(s0))
+    return NGState(np.zeros(dim), c0 * s0 * np.eye(dim), N0, float(s0))
 
 
 def evolve(state: NGState, delta: float, kappa: float) -> PriorState:

@@ -42,6 +42,14 @@ MODEL_NAME = "dfs-dlm"
 # nothing about kappa, and both kappa grids are kept.  delta_grid is shared by
 # the asset pools and the factor pools.
 DEFAULT_DELTA_GRID = (0.95, 0.975, 1.0)
+# Every pool starts from C0 = c0* s0 I with n0 dof (_batch.C0_STAR = 1e3, N0 = 5): the
+# highest mean model LPD per asset-date over c0* in {1e2, 1e3, 1e4, 1e5} at n0 = 10,
+# then n0 in {5, 10, 20}, on the bench generator's three panel shapes, seeds 7000-7009:
+#   (c0*, n0)       1e2,10  1e3,10  1e4,10  1e5,10  1e3,5   1e3,20
+#   paper_learned   2.1322  2.1412  2.0921  2.0821  2.1459  2.1328
+#   small_regimes   2.2833  2.2845  2.2842  2.2841  2.2845  2.2845
+#   box_gmv         2.2757  2.2870  2.2849  2.2843  2.2871  2.2869
+#   mean            2.2304  2.2376  2.2204  2.2168  2.2392  2.2347
 DEFAULT_KAPPA_R_GRID = (0.99, 0.995, 1.0)
 DEFAULT_KAPPA_F_GRID = (0.999, 1.0)
 
@@ -247,8 +255,9 @@ class _DynamicFactorFilter:
         self.factor_offsets = moment_offsets([
             rec[eq - st] for rec, eq, st in zip(self.factor_eqs, self.factor_eq, self.factor_start)])
 
-        self.pools = list(zip(self.asset_groups + self.factor_groups,
-                              self.asset_eqs + self.factor_eqs))
+        # per pool: the group, the x-columns of each group's row, each member's target
+        self.pools = [(grp, rec[::grp.n_eq // grp.groups, :-1], rec[:, -1]) for grp, rec
+                      in zip(self.asset_groups + self.factor_groups, self.asset_eqs + self.factor_eqs)]
         self._executor = (ThreadPoolExecutor(max_workers=config.threads)
                           if config.threads > 1 else None)
 
@@ -257,7 +266,9 @@ class _DynamicFactorFilter:
         parent count, that regress column targets[e] of z_t on the constant and
         the parents in bit mask masks[e], with its members' records (b, d + 1):
         regressor columns, then target, in Fortran order so that each column
-        gathered through them is contiguous.  ``prior_scales`` maps records to s0."""
+        gathered through them is contiguous.  ``prior_scales`` maps records to s0.
+        The members on one parent mask share a row, so they are one group: the
+        masks come in consecutive blocks of equally many members."""
         in_x = ((masks[:, None] << 1 | 1) >> np.arange(self.K + 1)) & 1
         dims = in_x.sum(axis=1)
         groups, records = [], []
@@ -266,7 +277,7 @@ class _DynamicFactorFilter:
             cols = np.nonzero(in_x[rows])[1].reshape(-1, d)
             records.append(np.asfortranarray(np.column_stack((cols, targets[rows]))))
             groups.append(PoolGroup(int(d), rows.size, self.config.delta_grid, kappas,
-                                    prior_scales(records[-1])))
+                                    prior_scales(records[-1]), groups=np.unique(masks[rows]).size))
         return groups, records
 
     def close(self) -> None:
@@ -326,11 +337,11 @@ class _DynamicFactorFilter:
         z = np.concatenate((self.X[t], self.R[t]))
 
         def advance(pool):
-            grp, eqs = pool
-            z_eq = z[eqs]
-            f, q = grp.forecast(z_eq[:, :-1])
-            dens = grp.log_densities(z_eq[:, -1], f, q)
-            grp.update(z_eq[:, -1], f, q)
+            grp, x_cols, targets = pool
+            y = z[targets]
+            f, q = grp.forecast(z[x_cols])
+            dens = grp.log_densities(y, f, q)
+            grp.update(y, f, q)
             return dens
 
         dens = self._map(advance, self.pools)

@@ -48,13 +48,14 @@ def test_criterion_1_conjugacy_oracle():
         y = rng.normal(size=T)
         n0 = float(rng.uniform(3, 20))
         s0 = float(rng.uniform(0.1, 4))
-        # one equation, one spec (delta = kappa = 1); X[t] is the whole regressor
+        # one equation, one spec (delta = kappa = 1); X[t] is the whole regressor;
+        # the prior is C0 = c0 s0 I with c0 = 100
         group = PoolGroup(d, 1, [1.0], [1.0], s0, c0=100.0, n0=n0)
         for t in range(T):
             group.evolve()
             f, q = group.forecast(X[t:t + 1])
             group.update(y[t:t + 1], f, q)
-        m, C, n, s = batch_nig_posterior(X, y, np.zeros(d), 100.0 * np.eye(d), n0, s0)
+        m, C, n, s = batch_nig_posterior(X, y, np.zeros(d), 100.0 * s0 * np.eye(d), n0, s0)
         worst = max(worst,
                     np.max(np.abs(group.m[0, 0] - m)), np.max(np.abs(group.C[0, 0] - C)),
                     abs(group.n[0] - n), abs(group.s[0, 0] - s))
@@ -129,14 +130,14 @@ def _batched_asset_moments(sels, lam, sig):
     """Asset mean and covariance from ``batched_asset_moments``, assembled as
     the engine does.  Each equation's prior is loaded into a one-member,
     one-spec ``PoolGroup`` of its own, since a group holds one dof per spec
-    and the priors differ in r.  With delta = 1 and s = s0 the stored
-    scale-free covariance C s0 / s is the prior scale R itself."""
+    and the priors differ in r.  With delta = 1 the prior scale is
+    R = C* s_prev, so the stored scale-free covariance C* is R / s_prev."""
     N = len(sels)
     groups, cols = [], []
     for idx, pr in sels:
         grp = PoolGroup(1 + len(idx), 1, [1.0], [1.0], pr.s_prev, n0=pr.r)
         grp._m[:, 0, 0] = pr.a
-        grp._C[:, :, 0, 0] = pr.R
+        grp._C[:, :, 0, 0] = pr.R / pr.s_prev
         grp.evolve()
         groups.append(grp)
         cols.append(np.array([[0, *(i + 1 for i in idx)]]))

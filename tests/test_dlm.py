@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from riskcast import dlm
+from riskcast._batch import C0_STAR, N0
 from riskcast.errors import NumericError, ParameterError, ShapeError
 
 
@@ -37,12 +38,13 @@ class TestInitState:
     def test_scalar_prior(self):
         st0 = dlm.init_state(1, 0.04)
         assert st0.m.tolist() == [0.0]
-        assert st0.C.tolist() == [[100.0]]
-        assert st0.n == 10.0 and st0.s == 0.04
+        assert st0.C.tolist() == [[C0_STAR * 0.04]]
+        assert st0.n == N0 and st0.s == 0.04
 
     def test_identity_scale(self):
-        st0 = dlm.init_state(3, 1.0)
-        np.testing.assert_array_equal(st0.C, 100.0 * np.eye(3))
+        # C0 = c0 s0 I, on the scale of the prior variance
+        st0 = dlm.init_state(3, 0.5, c0=100.0)
+        np.testing.assert_array_equal(st0.C, 50.0 * np.eye(3))
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ParameterError):
@@ -67,7 +69,7 @@ class TestEvolve:
 
     def test_dof_deflation(self):
         st0 = dlm.init_state(1, 1.0)
-        assert dlm.evolve(st0, 1.0, 0.99).r == pytest.approx(9.9)
+        assert dlm.evolve(st0, 1.0, 0.99).r == pytest.approx(0.99 * N0)
 
     def test_discount_range(self):
         st0 = dlm.init_state(1, 1.0)
@@ -198,4 +200,4 @@ class TestProperties:
         rng = np.random.default_rng(0)
         for t in range(1, 11):
             state = dlm.update(dlm.evolve(state, 1.0, 1.0), [1.0], float(rng.normal()))
-            assert state.n == 10.0 + t
+            assert state.n == N0 + t

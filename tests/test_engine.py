@@ -38,8 +38,9 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
     """Advance a PoolGroup and the scalar ``dlm`` kernel side by side.
 
     With ``per_equation_regressors`` every equation gets its own regressor
-    row in F (b, d); otherwise F is one row broadcast to all equations, as
-    ``FactorWishartDLM`` passes it.  From step ``jump_at`` on, the
+    row in F (b, d); otherwise the equations form one group on one row F
+    (1, d), as in ``FactorWishartDLM``.  Both start from C0 = 100 s0 I, so
+    the magnitudes match the tolerances.  From step ``jump_at`` on, the
     observations' scale is 4 times larger.  ``tol`` and ``dens_tol`` are the
     ``assert_allclose`` tolerances of the states and forecasts and of the
     densities.
@@ -50,20 +51,19 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
     specs = [(dl, kp) for dl in deltas for kp in kappas]    # the kernel's spec order
     P = len(specs)
     s0 = rng.uniform(0.5, 2.0, size=3)
-    group = PoolGroup(3, 3, deltas, kappas, s0)
-    # one mean and covariance per delta, s per (delta, kappa)
+    G = 3 if per_equation_regressors else 1
+    group = PoolGroup(3, 3, deltas, kappas, s0, c0=100.0, groups=G)
+    # one mean per delta and member, C* per delta and group, s per (delta, kappa)
     assert group._m.shape == (3, len(deltas), 3)
-    assert group._C.shape == (3, 3, len(deltas), 3)
+    assert group._C.shape == (3, 3, len(deltas), G)
     assert group.s.shape == (3, P)
-    states = [[dlm.init_state(3, float(s0[b])) for _ in range(P)] for b in range(3)]
+    states = [[dlm.init_state(3, float(s0[b]), c0=100.0) for _ in range(P)] for b in range(3)]
     for t in range(steps):
-        if per_equation_regressors:
-            Freg = np.column_stack([np.ones(3), rng.normal(size=(3, 2))])
-        else:
-            Freg = np.broadcast_to(np.concatenate(([1.0], rng.normal(size=2))), (3, 3))
+        Freg = np.column_stack([np.ones(G), rng.normal(size=(G, 2))])
         y = rng.normal(size=3) * (4.0 if jump_at is not None and t >= jump_at else 1.0)
         group.evolve()
         f, q = group.forecast(Freg)
+        Freg = np.broadcast_to(Freg, (3, 3))
         dens = group.log_densities(y, f, q)
         group.update(y, f, q)
         ref = {k: np.zeros((3, P)) for k in ("f", "q", "dens", "s")}
@@ -102,8 +102,34 @@ class TestBatchedKernelEquivalence:
                 per_equation_regressors, deltas=(0.95, 0.975, 1.0), kappas=(0.99, 0.995, 1.0),
                 steps=300, jump_at=150, tol=dict(rtol=1e-10), dens_tol=dict(rtol=1e-10))
 
+    def test_grouped_pool_matches_one_group_per_member(self):
+        # members on one regressor row share C*: G groups of N members give the
+        # m, C, s, forecasts and densities of one group per member
+        rng = np.random.default_rng(5)
+        d, G, N = 3, 4, 5
+        deltas, kappas = (0.95, 0.975, 1.0), (0.99, 1.0)
+        s0 = rng.uniform(0.5, 2.0, G * N)
+        grouped = PoolGroup(d, G * N, deltas, kappas, s0, groups=G)
+        single = PoolGroup(d, G * N, deltas, kappas, s0)
+        assert grouped._C.shape == (d, d, len(deltas), G)
+        assert single._C.shape == (d, d, len(deltas), G * N)
+        tol = dict(rtol=0, atol=1e-12)
+        for t in range(300):
+            F = np.column_stack([np.ones(G), rng.normal(size=(G, d - 1))])
+            y = rng.normal(size=G * N)
+            out = []
+            for grp, rows in ((grouped, F), (single, np.repeat(F, N, axis=0))):
+                grp.evolve()
+                f, q = grp.forecast(rows)
+                out.append((f, q, grp.log_densities(y, f, q)))
+                grp.update(y, f, q)
+            for a, b in zip(*out):
+                np.testing.assert_allclose(a, b, **tol)
+            for name in ("m", "C", "s"):
+                np.testing.assert_allclose(getattr(grouped, name), getattr(single, name), **tol)
+
     def test_covariance_stays_exactly_symmetric(self):
-        # the update subtracts g g' instead of symmetrizing, so C - C' must be 0
+        # the update subtracts (A_i A_j) q* instead of symmetrizing, so C - C' must be 0
         panel = small_panel(seed=16, N=5, K=3, T=60, train=20)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
         assert flt.n_ord == 6
@@ -224,6 +250,51 @@ class TestBatchedKernelEquivalence:
         cov = B @ sig @ B.T
         cov[np.diag_indices(N)] += idio
         np.testing.assert_allclose(cov, ref.asset_cov, atol=1e-13)
+
+    @pytest.mark.parametrize("ordering", ["learn", "fixed"])
+    def test_pools_group_members_by_parent_mask(self, ordering):
+        # asset member i N + j of a pool is asset j on the pool's i-th mask, in
+        # group i; a factor pool's group holds the equations on one parent mask,
+        # each with its own target.  Each member's regressor columns are its
+        # group's row, and the pools advance as one group per member would.
+        K = 3
+        panel = small_panel(seed=23, N=4, K=K, T=40, train=20)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering=ordering))
+        N = panel.n_assets
+        pools = [(grp, x_cols, targets, rec) for (grp, x_cols, targets), rec
+                 in zip(flt.pools, flt.asset_eqs + flt.factor_eqs)]
+        for (grp, x_cols, targets, rec), masks in zip(pools, np.split(
+                flt.masks, np.cumsum([g.n_eq // N for g in flt.asset_groups])[:-1])):
+            assert grp.groups == masks.size and grp._C.shape[-1] == masks.size
+            i, j = np.divmod(np.arange(grp.n_eq), N)
+            parents = (masks[i][:, None] >> np.arange(K)) & 1
+            assert np.all(parents.sum(axis=1) == grp.d - 1)
+            np.testing.assert_array_equal(rec[:, 1:-1], np.nonzero(parents)[1].reshape(
+                grp.n_eq, -1) + 1)
+            np.testing.assert_array_equal(targets, 1 + K + j)
+        for grp, x_cols, targets, rec in pools[len(flt.asset_groups):]:
+            size = grp.n_eq // grp.groups
+            for g in range(grp.groups):
+                block = slice(g * size, (g + 1) * size)
+                assert np.unique(targets[block]).size == size
+                assert not np.isin(targets[block], x_cols[g]).any()
+            assert np.unique(x_cols, axis=0).shape[0] == grp.groups
+        for grp, x_cols, targets, rec in pools:
+            np.testing.assert_array_equal(
+                rec[:, :-1], np.repeat(x_cols, grp.n_eq // grp.groups, axis=0))
+        refs = [PoolGroup(grp.d, grp.n_eq, grp.deltas, grp.kappas, grp.s[:, 0])
+                for grp, *_ in pools]
+        for t in range(panel.T):
+            flt.update_step(t, flt.forecast_step()[-1])
+            z = np.concatenate((flt.X[t], flt.R[t]))
+            for ref, (grp, x_cols, targets, rec) in zip(refs, pools):
+                ref.evolve()
+                f, q = ref.forecast(z[rec[:, :-1]])
+                ref.update(z[targets], f, q)
+                for name in ("m", "C", "s"):
+                    np.testing.assert_allclose(getattr(grp, name), getattr(ref, name),
+                                               rtol=1e-12, atol=0)
+        flt.close()
 
     @pytest.mark.parametrize("K", [3, 5])
     def test_stacked_asset_pools_match_one_group_per_mask(self, K):
