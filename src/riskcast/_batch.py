@@ -19,6 +19,11 @@ contiguous innermost axis, so elementwise passes run over rows of b.  The
 recursions are those of the ``dlm`` module; the test suite asserts
 equivalence against that per-state reference kernel.
 
+A pool steps through evolve, forecast, log_densities and update, which uses
+the C*F and q* of forecast and the e = y - f and e^2 / q of log_densities.
+Densities come as (b, P) views of (P, b) arrays: one copy per pool puts them
+in the engine's (mask, spec) x asset rows of model probabilities.
+
 Recoupling works in the second moments S = E[x x'] of x = (1, factors): a
 selected regression of y on columns X of x gives E[y X] = S_XX a and
 E[y^2] = r/(r-2) (s + tr(R S_XX)) + a' E[y X], the one formula that fills S
@@ -88,8 +93,8 @@ class PoolGroup:
         # evolved prior quantities, populated by evolve()
         self.r = self._r = None     # r per spec (P,), and as (Pd, Pk, 1)
         self._r_shape = (n_d, n_k, 1)
-        self.s_prev = None
-        self._CF = self._qs = None  # C*F and q* from forecast(), consumed by update()
+        self.s_prev = self._lt = None   # prior scale; Student-t log constant per spec
+        self._CF = self._qs = self._e = self._u = None  # consumed by update()
 
     @property
     def m(self) -> np.ndarray:
@@ -106,7 +111,8 @@ class PoolGroup:
 
     def evolve(self) -> None:
         self.r = self._kappa * self.n
-        self._r = self.r.reshape(self._r_shape)
+        self._r = r = self.r.reshape(self._r_shape)
+        self._lt = gammaln((r + 1.0) / 2.0) - gammaln(r / 2.0) - 0.5 * np.log(r * np.pi)
         self.s_prev = self._s
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,28 +129,27 @@ class PoolGroup:
         return f.reshape(-1, 1, self.n_eq), q.reshape(self.s_prev.shape)
 
     def log_densities(self, y, f, q) -> np.ndarray:
-        """Student-t log predictive densities per equation and spec, (b, P)."""
-        r = self._r
-        z2 = (np.asarray(y, float) - f) ** 2 / (r * q)
-        lp = (gammaln((r + 1.0) / 2.0) - gammaln(r / 2.0) - 0.5 * np.log(r * np.pi * q)
-              - (r + 1.0) / 2.0 * np.log1p(z2))
+        """Student-t log predictive densities of y under (f, q), (b, P)."""
+        self._e = e = np.asarray(y, float) - f
+        self._u = u = e * e / q
+        lp = u / self._r
+        np.log1p(lp, out=lp)
+        lp *= self._r + 1.0
+        lp += np.log(q)
+        lp *= -0.5
+        lp += self._lt
         return lp.reshape(self.P, self.n_eq).T
 
-    def update(self, y, f: np.ndarray, q: np.ndarray) -> None:
-        """Posterior update in place, given the realized y and the forecast (f, q).
-
-        Uses the C*F and q* of the preceding ``forecast`` call, so the
-        regressor is the one given there.
-        """
-        e = np.asarray(y, float) - f
-        r = self._r
-        z = (r + e * e / q) / (r + 1.0)
-        A, qs = self._CF, self._qs
-        self._CF = self._qs = None
+    def update(self) -> None:
+        """Posterior update in place, from the preceding forecast and log_densities."""
+        A, qs, e, z = self._CF, self._qs, self._e, self._u
+        self._CF = self._qs = self._e = self._u = None
         A /= self._delta * qs           # adaptive vector C*F / (delta q*)
         self._m_grouped += A[..., None] * e.reshape(self._m_grouped.shape[1:])
         self._C /= self._delta
         self._C -= A[:, None] * A[None, :] * qs
+        z += self._r                    # z = (r + e^2 / q) / (r + 1)
+        z /= self._r + 1.0
         self._s *= z
         self.n = self.r + 1.0
 
@@ -229,8 +234,9 @@ def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
     return yX[:, 0], a_x[:, 1:], idio
 
 
-def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray) -> np.ndarray:
-    """Asset covariance B sig B' + diag(idio), symmetrized."""
-    cov = B @ sig @ B.T
-    cov[np.diag_indices(idio.size)] += idio
-    return (cov + cov.T) / 2.0
+def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray, out=None, work=None):
+    """B sig B' + diag(idio), symmetrized; into (N, N) buffers ``out`` and ``work`` if given."""
+    work = np.matmul(B @ sig, B.T, out=work)
+    work.flat[::idio.size + 1] += idio
+    out = np.add(work, work.T, out=out)
+    return np.divide(out, 2.0, out=out)

@@ -143,13 +143,10 @@ def wishart_dlm_step(state: WishartDLMState, y: np.ndarray
     y = np.asarray(y, float)
     if y.shape != state.m.shape:
         raise ShapeError("observation does not match the state dimension")
+    mean_pred, cov_pred = wishart_predictive(state)
     rho = state.c / state.delta
     r = state.kappa * state.n
     q = rho + 1.0
-    if r <= 2.0:
-        raise MomentError(f"local-level model: predictive variance needs dof > 2, got r={r}")
-    cov_pred = q * state.S * (r / (r - 2.0))
-    mean_pred = state.m.copy()
     e = y - state.m
     A = rho / q
     m_new = state.m + A * e
@@ -161,12 +158,21 @@ def wishart_dlm_step(state: WishartDLMState, y: np.ndarray
     except np.linalg.LinAlgError:
         raise NumericError("volatility location matrix lost positive definiteness") from None
     new = WishartDLMState(m_new, c_new, S_new, r + 1.0, state.delta, state.kappa)
-    return new, mean_pred, (cov_pred + cov_pred.T) / 2.0
+    return new, mean_pred, cov_pred
+
+
+def wishart_predictive(state: WishartDLMState) -> tuple[np.ndarray, np.ndarray]:
+    """One-step predictive mean and covariance of a local-level state."""
+    r = state.kappa * state.n
+    if r <= 2.0:
+        raise MomentError(f"local-level model: predictive variance needs dof > 2, got r={r}")
+    cov = (state.c / state.delta + 1.0) * state.S * (r / (r - 2.0))
+    return state.m.copy(), (cov + cov.T) / 2.0
 
 
 class FactorWishartDLM:
     """Factor-augmented variant: one local-level model on the factor block and
-    per-asset regression filters on the factors, recoupled each period.
+    per-asset regression filters on the factors, recoupled on request.
 
     The asset filters are one ``PoolGroup`` with every factor as a parent and
     a single (delta, kappa) pair, so all assets advance in one set of array
@@ -184,18 +190,22 @@ class FactorWishartDLM:
         # (columns, member, spec) of every asset for batched_asset_moments
         cols = np.broadcast_to(np.arange(1 + n_factors), (n_assets, 1 + n_factors))
         self._sel = ([cols], np.arange(n_assets), np.zeros(n_assets, dtype=int))
+        self.assets.evolve()    # kept evolved between periods, so predict may precede step
 
-    def step(self, y_factors: np.ndarray, y_assets: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """Predict the asset block for the current period, then update."""
-        self.factor_state, lam, sig_f = wishart_dlm_step(self.factor_state, y_factors)
-        grp = self.assets
-        grp.evolve()
-        r = float(grp.r[0])
-        if r <= 2.0:
+    def predict(self) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive mean and covariance of the asset block for the coming period."""
+        lam, sig_f = wishart_predictive(self.factor_state)
+        if (r := float(self.assets.r[0])) <= 2.0:
             raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
-        mean, B, idio = _batch.batched_asset_moments([grp], *self._sel, lam, sig_f, dof_floor=2.0)
-        F = np.concatenate(([1.0], np.asarray(y_factors, float)))
-        f, q = grp.forecast(F[None])
-        grp.update(y_assets, f, q)
+        mean, B, idio = _batch.batched_asset_moments([self.assets], *self._sel, lam, sig_f,
+                                                     dof_floor=2.0)
         return mean, _batch.asset_covariance(B, sig_f, idio)
+
+    def step(self, y_factors: np.ndarray, y_assets: np.ndarray) -> None:
+        """Update the factor block and every asset filter on one period."""
+        self.factor_state = wishart_dlm_step(self.factor_state, y_factors)[0]
+        grp = self.assets
+        f, q = grp.forecast(np.concatenate(([1.0], np.asarray(y_factors, float)))[None])
+        grp.log_densities(y_assets, f, q)
+        grp.update()
+        grp.evolve()

@@ -1,10 +1,10 @@
 """Sequential backtest orchestration.
 
-One pass over dates drives every equation pool through
-evolve -> forecast -> select -> recouple -> optimize -> update.  Weights at
-date t use information through t-1 only; the realized values of date t enter
-afterwards via the Bayes updates.  The training window runs through the same
-filter but records no metrics or weights.
+One pass over dates drives every equation pool through evolve -> select ->
+recouple -> optimize -> forecast -> update, recoupling and optimizing on
+evaluation dates only.  Weights at date t use information through t-1 only;
+the realized values of date t enter afterwards via the Bayes updates.  The
+training window runs through the same filter but records no metrics or weights.
 
 Reduction order is fixed (by equation index, then pool-group index, then
 ordering index), so multi-threaded runs are bit-identical to serial ones.
@@ -178,8 +178,9 @@ def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     """
     shift = np.max(a, axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
+    e = a - shift
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True))
+        out = np.log(np.sum(np.exp(e, out=e), axis=axis, keepdims=True))
     out += shift
     return out if keepdims else np.squeeze(out, axis=axis)[()]
 
@@ -224,7 +225,8 @@ class _DynamicFactorFilter:
         # asset block: the masks are ordered by parent count, so a pool holds
         # the (mask, asset) members of consecutive masks, mask-major (asset j
         # on mask index i is member i N + j of the pools in sequence), and its
-        # specs (mask, delta, kappa) fill contiguous columns of asset_log_probs
+        # specs (mask, delta, kappa) fill contiguous rows of the log
+        # probabilities, kept as (specs, N) so that they normalize over axis 0
         self.P_r = len(config.delta_grid) * len(config.kappa_r_grid)
         masks = range(1, 1 << K) if config.sparsity else [(1 << K) - 1]
         self.masks = np.array(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
@@ -234,9 +236,12 @@ class _DynamicFactorFilter:
             self.masks[mi], 1 + K + j, config.kappa_r_grid,
             lambda rec: self.s0_assets[rec[:, -1] - 1 - K])
         n_specs = len(self.masks) * self.P_r
-        self.asset_log_probs = np.full((N, n_specs), -np.log(n_specs))
+        self._asset_lp = np.full((n_specs, N), -np.log(n_specs))
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
                                       axis=0).astype(float)
+        self._dens_a = np.empty((n_specs, N))      # densities, by pool as (masks, specs, N)
+        self._dens_blocks = np.split(self._dens_a.reshape(-1, self.P_r, N),
+                                     np.cumsum([g.n_eq // N for g in self.asset_groups])[:-1])
 
         # factor block: each distinct equation (parent mask, target) once, in pool
         # j, its parent count, from row factor_start[j] on.  Ordering o uses row
@@ -290,43 +295,47 @@ class _DynamicFactorFilter:
             return [fn(x) for x in items]
         return list(self._executor.map(fn, items))
 
+    @property
+    def asset_log_probs(self) -> np.ndarray:
+        """(N, masks x P) view of the stored rows: mask, then delta, then kappa."""
+        return self._asset_lp.T
+
+    @asset_log_probs.setter
+    def asset_log_probs(self, value) -> None:
+        self._asset_lp = np.ascontiguousarray(np.asarray(value, float).T)
+
     # ---- one step ----------------------------------------------------------
 
-    def forecast_step(self):
-        """Evolve everything and build the one-step predictive moments.
-
-        Uses only information through the previous date.  Returns
-        (asset mean, loading matrix, idiosyncratic variances,
-        factor mixture mean, factor mixture covariance, selection record).
-        """
+    def select(self):
+        """Evolve, then pick specs on the forgotten probabilities (unnormalized: argmax
+        ignores the row constant).  Record: asset specs (columns of ``asset_log_probs``),
+        factor specs, forgotten ordering (normalized), asset (rows) and factor log probs."""
         cfg = self.config
         self._map(lambda pool: pool[0].evolve(), self.pools)
-
-        # factor block: select per equation on predicted probabilities, then
-        # gather each ordering's equations.  Predicted log probabilities stay
-        # unnormalized: argmax ignores the row constant, and update_step
-        # normalizes after adding the densities.
         lp_pred_f = cfg.alpha * self.factor_log_probs
         sel_f = np.argmax(lp_pred_f, axis=1)
+        lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
+        lp_pred_assets = cfg.alpha * self._asset_lp
+        sel_assets = np.argmax(lp_pred_assets, axis=0)
+        # the pools of a block share r = kappa n
+        for block, grp, p_idx in (("factor", self.factor_groups[0], sel_f),
+                                  ("asset", self.asset_groups[0], sel_assets % self.P_r)):
+            if np.any(grp.r[p_idx] <= DOF_FLOOR):
+                warnings.warn(f"{block} equation degrees of freedom at the floor", RuntimeWarning)
+        return sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f
+
+    def recouple(self, selection):
+        """Predictive (asset mean, B, idio, factor mean, factor cov) of a selection."""
+        sel_assets, sel_f, lp_ord_pred = selection[:3]
         a_sel, R_sel, r_sel, s_sel = zip(*(
             grp.selected(eq - st, sel_f[eq])
             for grp, eq, st in zip(self.factor_groups, self.factor_eq, self.factor_start)))
         S = recursive_factor_moments(self.factor_offsets, a_sel, R_sel, r_sel, s_sel)
-        if np.any(np.concatenate(r_sel) <= DOF_FLOOR):
-            warnings.warn("factor equation degrees of freedom at the floor", RuntimeWarning)
-        lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
         lam, sig = mixture_factor_moments(lp_ord_pred, S)
-
-        # asset block: select per asset; the asset pools share r = kappa n
-        lp_pred_assets = cfg.alpha * self.asset_log_probs
-        sel_assets = np.argmax(lp_pred_assets, axis=1)
         mask_idx, p_idx = np.divmod(sel_assets, self.P_r)
-        if np.any(self.asset_groups[0].r[p_idx] <= DOF_FLOOR):
-            warnings.warn("asset equation degrees of freedom at the floor", RuntimeWarning)
         mean, B, idio = batched_asset_moments(self.asset_groups, self.asset_eqs,
                                               mask_idx * self.N + np.arange(self.N), p_idx, lam, sig)
-        selection = (sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f)
-        return mean, B, idio, lam, sig, selection
+        return mean, B, idio, lam, sig
 
     def update_step(self, t: int, selection) -> float:
         """Observe date t, update probabilities and states everywhere.
@@ -338,10 +347,9 @@ class _DynamicFactorFilter:
 
         def advance(pool):
             grp, x_cols, targets = pool
-            y = z[targets]
             f, q = grp.forecast(z[x_cols])
-            dens = grp.log_densities(y, f, q)
-            grp.update(y, f, q)
+            dens = grp.log_densities(z[targets], f, q)
+            grp.update()
             return dens
 
         dens = self._map(advance, self.pools)
@@ -351,16 +359,18 @@ class _DynamicFactorFilter:
         self.factor_log_probs = _normalize_rows(lp_pred_f + dens_f)
         self.ordering_log_probs = _normalize_rows(lp_ord_pred + joint)
 
-        # a pool's densities (masks x N, P) become its columns (N, masks x P)
-        dens_a = np.concatenate([d.reshape(-1, self.N, d.shape[1]).transpose(1, 0, 2)
-                                 for d in dens[:n_a]], axis=1).reshape(self.N, -1)
-        self.asset_log_probs = _normalize_rows(lp_pred_assets + dens_a)
-        return float(dens_a[np.arange(self.N), sel_assets].sum())
+        # a pool's densities (masks x N, P) fill its rows (masks x P, N)
+        for block, d in zip(self._dens_blocks, dens[:n_a]):
+            block[...] = d.T.reshape(self.P_r, -1, self.N).transpose(1, 0, 2)
+        lp_pred_assets += self._dens_a      # the record's array becomes the posterior
+        lp_pred_assets -= logsumexp(lp_pred_assets, axis=0, keepdims=True)
+        self._asset_lp = lp_pred_assets
+        return float(self._dens_a[sel_assets, np.arange(self.N)].sum())
 
     def inclusion(self) -> np.ndarray:
         """Posterior inclusion probability of each factor in each asset's
         parent set, (N, K)."""
-        return np.exp(self.asset_log_probs) @ self.include_mask
+        return (self.include_mask.T @ np.exp(self._asset_lp)).T
 
 
 def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
@@ -377,33 +387,27 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         fac_mean = np.zeros((T_eval, K))
         fac_cov = np.zeros((T_eval, K, K))
         weights = np.zeros((T_eval, N)) if collect_weights else None
+        cov, work = (np.empty((N, N)), np.empty((N, N))) if collect_weights else (None, None)
         bound = config.box_bound
         tau = config.tau_periodic
+        momentum = config.mean_signal == "momentum" and config.strategy != "gmv"
 
         for t in range(panel.T):
-            evaluating = t >= train
+            i = t - train
             try:
-                mean, B, idio, lam, sig, selection = flt.forecast_step()
-                if evaluating:
-                    i = t - train
-                    asset_mean[i] = mean
-                    fac_mean[i] = lam
-                    fac_cov[i] = sig
+                selection = flt.select()
+                if i >= 0:
+                    mean, B, idio, lam, sig = flt.recouple(selection)
+                    asset_mean[i], fac_mean[i], fac_cov[i] = mean, lam, sig
                     if collect_weights:
-                        cov = asset_covariance(B, sig, idio)
-                        if config.mean_signal == "momentum" and config.strategy != "gmv":
-                            mu = pf.momentum_signal(flt.R, t)
-                        else:
-                            mu = mean
-                        start = weights[i - 1] if i > 0 else None
+                        asset_covariance(B, sig, idio, out=cov, work=work)
+                        mu = pf.momentum_signal(flt.R, t) if momentum else mean
                         weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
-                                                    start).w
+                                                    weights[i - 1] if i > 0 else None).w
                 lpd_t = flt.update_step(t, selection)
-                if evaluating:
-                    i = t - train
-                    lpd_series[i] = lpd_t
+                if i >= 0:
+                    lpd_series[i], ord_lp[i] = lpd_t, flt.ordering_log_probs
                     inclusion[i] = flt.inclusion()
-                    ord_lp[i] = flt.ordering_log_probs
             except RiskcastError as exc:
                 raise type(exc)(f"date {panel.dates[t]}: {exc}") from exc
     finally:
@@ -495,20 +499,20 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
             cov = bench.lw_shrinkage(R[t - train:t])
             mu = pf.momentum_signal(R, t)
         elif name in ("ewma97", "ewma99"):
-            cov = sigma
+            cov = sigma.copy()
             mu = pf.momentum_signal(R, t)
         elif name == "wdlm":
             state, mu, cov = bench.wishart_dlm_step(state, R[t])
         elif name == "factor-wdlm":
-            mu, cov = state.step(F[t], R[t])
-        cov = cov + (COV_JITTER * np.trace(cov) / N) * np.eye(N)
+            mu, cov = state.predict()
+            state.step(F[t], R[t])
+        cov.flat[::N + 1] += COV_JITTER * np.trace(cov) / N    # into this row's own copy
         weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
                                     weights[i - 1] if i > 0 else None).w
         lpd[i] = _gaussian_lpd(R[t], mu, cov)
         means[i] = mu
         if name in ("ewma97", "ewma99"):
-            decay = 0.97 if name == "ewma97" else 0.99
-            sigma = bench.ewma_cov(sigma, R[t], decay)
+            sigma = bench.ewma_cov(sigma, R[t], 0.97 if name == "ewma97" else 0.99)
     return weights, lpd, means
 
 

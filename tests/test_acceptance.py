@@ -54,7 +54,8 @@ def test_criterion_1_conjugacy_oracle():
         for t in range(T):
             group.evolve()
             f, q = group.forecast(X[t:t + 1])
-            group.update(y[t:t + 1], f, q)
+            group.log_densities(y[t:t + 1], f, q)
+            group.update()
         m, C, n, s = batch_nig_posterior(X, y, np.zeros(d), 100.0 * s0 * np.eye(d), n0, s0)
         worst = max(worst,
                     np.max(np.abs(group.m[0, 0] - m)), np.max(np.abs(group.C[0, 0] - C)),
@@ -95,7 +96,7 @@ def test_criterion_2_selection_oracle():
         states = [dlm.init_state(1 + len(idx), s0) for idx, _, _ in specs]
         cum = np.zeros(len(specs))
         for t in range(T):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             for i, (idx, dl, kp) in enumerate(specs):
                 Freg = np.concatenate(([1.0], F[t, idx]))
                 prior = dlm.evolve(states[i], dl, kp)

@@ -197,7 +197,8 @@ class TestFactorWishartDLM:
     def test_predictions_precede_updates(self):
         rng = np.random.default_rng(8)
         model = FactorWishartDLM(n_assets=3, n_factors=2, s0_assets=0.05)
-        mean1, cov1 = model.step(rng.normal(size=2), rng.normal(size=3))
+        mean1, cov1 = model.predict()
+        model.step(rng.normal(size=2), rng.normal(size=3))
         assert mean1.shape == (3,)
         assert cov1.shape == (3, 3)
         assert np.linalg.eigvalsh(cov1).min() > 0
@@ -217,7 +218,8 @@ class TestFactorWishartDLM:
         states = [dlm.init_state(1 + K, float(s)) for s in s0]
         parents = tuple(range(K))
         for t in range(60):
-            mean, cov = model.step(yF[t], yR[t])
+            mean, cov = model.predict()
+            model.step(yF[t], yR[t])
             fstate, lam, sig = wishart_dlm_step(fstate, yF[t])
             priors = [dlm.evolve(st, delta, kappa) for st in states]
             ref = recouple.asset_moments(lam, sig, [(parents, p) for p in priors])

@@ -1,14 +1,16 @@
 """Engine orchestration: oracle compositions, determinism, timing discipline."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from riskcast import dlm, engine, portfolio as pf, recouple
-from riskcast._batch import (PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
-                             recursive_factor_moments)
+from riskcast._batch import (N0, PoolGroup, asset_covariance, batched_asset_moments,
+                             moment_offsets, recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
                              run_statistics_only)
@@ -32,18 +34,48 @@ def small_panel(seed=0, N=6, K=2, T=120, train=40):
     return generate_synthetic(spec)[0]
 
 
+def scalar_step(state, F, y, delta, kappa):
+    """One step of the scalar ``dlm`` kernel: (f, q, log density, posterior)."""
+    prior = dlm.evolve(state, delta, kappa)
+    fc = dlm.forecast(prior, F)
+    return fc.f, fc.q, dlm.log_predictive_density(fc, y), dlm.update(prior, F, y)
+
+
+def extended_init(dim, s0, c0):
+    c0, s0 = np.longdouble(c0), np.longdouble(s0)
+    return SimpleNamespace(m=np.zeros(dim, np.longdouble), n=np.longdouble(N0), s=s0,
+                           C=c0 * s0 * np.eye(dim, dtype=np.longdouble))
+
+
+def extended_step(state, F, y, delta, kappa):
+    """``scalar_step``'s recursions in np.longdouble, so that its own rounding
+    lies far below the float64 kernel's."""
+    F, y = np.asarray(F, np.longdouble), np.longdouble(y)
+    R, r = state.C / np.longdouble(delta), np.longdouble(kappa) * state.n
+    f, q = F @ state.m, state.s + F @ R @ F
+    e = y - f
+    A = R @ F / q
+    z = (r + e * e / q) / (r + 1)
+    # gammaln has no extended-precision loop; its constant is rounded once
+    dens = (gammaln((float(r) + 1.0) / 2.0) - gammaln(float(r) / 2.0)
+            - np.log(r * np.longdouble(np.pi) * q) / 2 - (r + 1) / 2 * np.log1p(e * e / (r * q)))
+    return f, q, dens, SimpleNamespace(m=state.m + A * e, C=(R - np.outer(A, A) * q) * z,
+                                       n=r + 1, s=state.s * z)
+
+
 def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1.0),
                                        kappas=(0.99, 1.0), steps=15, jump_at=None,
-                                       tol=None, dens_tol=None):
-    """Advance a PoolGroup and the scalar ``dlm`` kernel side by side.
+                                       tol=None, dens_tol=None, extended=False):
+    """Advance a PoolGroup and a per-state reference kernel side by side.
 
-    With ``per_equation_regressors`` every equation gets its own regressor
-    row in F (b, d); otherwise the equations form one group on one row F
-    (1, d), as in ``FactorWishartDLM``.  Both start from C0 = 100 s0 I, so
-    the magnitudes match the tolerances.  From step ``jump_at`` on, the
-    observations' scale is 4 times larger.  ``tol`` and ``dens_tol`` are the
-    ``assert_allclose`` tolerances of the states and forecasts and of the
-    densities.
+    The reference is the scalar ``dlm`` kernel, or with ``extended`` the same
+    recursions in np.longdouble.  With ``per_equation_regressors`` every
+    equation gets its own regressor row in F (b, d); otherwise the equations
+    form one group on one row F (1, d), as in ``FactorWishartDLM``.  Both
+    start from C0 = 100 s0 I, so the magnitudes match the tolerances.  From
+    step ``jump_at`` on, the observations' scale is 4 times larger.  ``tol``
+    and ``dens_tol`` are the ``assert_allclose`` tolerances of the states and
+    forecasts and of the densities.
     """
     tol = tol or dict(rtol=0, atol=1e-12)
     dens_tol = dens_tol or dict(rtol=0, atol=1e-10)
@@ -57,7 +89,12 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
     assert group._m.shape == (3, len(deltas), 3)
     assert group._C.shape == (3, 3, len(deltas), G)
     assert group.s.shape == (3, P)
-    states = [[dlm.init_state(3, float(s0[b]), c0=100.0) for _ in range(P)] for b in range(3)]
+    if extended:
+        step, states = extended_step, [[extended_init(3, s0[b], 100.0) for _ in range(P)]
+                                       for b in range(3)]
+    else:
+        step, states = scalar_step, [[dlm.init_state(3, float(s0[b]), c0=100.0) for _ in range(P)]
+                                     for b in range(3)]
     for t in range(steps):
         Freg = np.column_stack([np.ones(G), rng.normal(size=(G, 2))])
         y = rng.normal(size=3) * (4.0 if jump_at is not None and t >= jump_at else 1.0)
@@ -65,16 +102,13 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
         f, q = group.forecast(Freg)
         Freg = np.broadcast_to(Freg, (3, 3))
         dens = group.log_densities(y, f, q)
-        group.update(y, f, q)
+        group.update()
         ref = {k: np.zeros((3, P)) for k in ("f", "q", "dens", "s")}
         ref_m, ref_C = np.zeros((3, P, 3)), np.zeros((3, P, 3, 3))
         for b in range(3):
             for p, (dl, kp) in enumerate(specs):
-                prior = dlm.evolve(states[b][p], dl, kp)
-                fc = dlm.forecast(prior, Freg[b])
-                ref["f"][b, p], ref["q"][b, p] = fc.f, fc.q
-                ref["dens"][b, p] = dlm.log_predictive_density(fc, float(y[b]))
-                states[b][p] = dlm.update(prior, Freg[b], float(y[b]))
+                ref["f"][b, p], ref["q"][b, p], ref["dens"][b, p], states[b][p] = step(
+                    states[b][p], Freg[b], float(y[b]), dl, kp)
                 ref_m[b, p], ref_C[b, p] = states[b][p].m, states[b][p].C
                 ref["s"][b, p] = states[b][p].s
         # f is (Pd, 1, b) and q is (Pd, Pk, b); spec p = i_delta * Pk + i_kappa
@@ -84,7 +118,8 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
         np.testing.assert_allclose(group.m, ref_m, **tol)
         np.testing.assert_allclose(group.C, ref_C, **tol)
         np.testing.assert_allclose(group.s, ref["s"], **tol)
-        np.testing.assert_allclose(group.n, [st.n for st in states[0]], atol=1e-12)
+        np.testing.assert_allclose(group.n, np.array([st.n for st in states[0]], float),
+                                   atol=1e-12)
 
 
 class TestBatchedKernelEquivalence:
@@ -96,11 +131,14 @@ class TestBatchedKernelEquivalence:
 
     def test_pool_group_matches_reference_over_a_volatility_jump(self):
         # the paper's 3 x 3 grid over a long run whose residual scale jumps
-        # 4x halfway, so the kappa < 1 specs' s and n move apart from kappa = 1
+        # 4x halfway, so the kappa < 1 specs' s and n move apart from kappa = 1.
+        # Over 300 steps a float64 reference's own rounding reaches ~1e-10 in
+        # small entries, so the reference runs in extended precision
         for per_equation_regressors in (False, True):
             check_pool_group_against_reference(
                 per_equation_regressors, deltas=(0.95, 0.975, 1.0), kappas=(0.99, 0.995, 1.0),
-                steps=300, jump_at=150, tol=dict(rtol=1e-10), dens_tol=dict(rtol=1e-10))
+                steps=300, jump_at=150, tol=dict(rtol=1e-10), dens_tol=dict(rtol=1e-10),
+                extended=True)
 
     def test_grouped_pool_matches_one_group_per_member(self):
         # members on one regressor row share C*: G groups of N members give the
@@ -122,7 +160,7 @@ class TestBatchedKernelEquivalence:
                 grp.evolve()
                 f, q = grp.forecast(rows)
                 out.append((f, q, grp.log_densities(y, f, q)))
-                grp.update(y, f, q)
+                grp.update()
             for a, b in zip(*out):
                 np.testing.assert_allclose(a, b, **tol)
             for name in ("m", "C", "s"):
@@ -134,7 +172,7 @@ class TestBatchedKernelEquivalence:
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
         assert flt.n_ord == 6
         for t in range(panel.T):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             for grp in flt.asset_groups + flt.factor_groups:
                 assert np.max(np.abs(grp.C - np.swapaxes(grp.C, -1, -2))) == 0.0
         flt.close()
@@ -200,8 +238,9 @@ class TestBatchedKernelEquivalence:
 
         monkeypatch.setattr(engine, "recursive_factor_moments", capture)
         for t in range(panel.T):
-            *_, selection = flt.forecast_step()
+            selection = flt.select()
             if t >= panel.T - 3:
+                flt.recouple(selection)
                 S, sel_f = captured[-1], selection[1]
                 for o, perm in enumerate(flt.perms):
                     priors = []
@@ -285,12 +324,13 @@ class TestBatchedKernelEquivalence:
         refs = [PoolGroup(grp.d, grp.n_eq, grp.deltas, grp.kappas, grp.s[:, 0])
                 for grp, *_ in pools]
         for t in range(panel.T):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             z = np.concatenate((flt.X[t], flt.R[t]))
             for ref, (grp, x_cols, targets, rec) in zip(refs, pools):
                 ref.evolve()
                 f, q = ref.forecast(z[rec[:, :-1]])
-                ref.update(z[targets], f, q)
+                ref.log_densities(z[targets], f, q)
+                ref.update()
                 for name in ("m", "C", "s"):
                     np.testing.assert_allclose(getattr(grp, name), getattr(ref, name),
                                                rtol=1e-12, atol=0)
@@ -311,7 +351,8 @@ class TestBatchedKernelEquivalence:
                for p in parents]
         lp = flt.asset_log_probs.copy()
         for t in range(panel.T):
-            mean, B, idio, lam, sig, selection = flt.forecast_step()
+            selection = flt.select()
+            mean, B, idio, lam, sig = flt.recouple(selection)
             for grp in ref:
                 grp.evolve()
             sel = np.argmax(cfg.alpha * lp, axis=1)
@@ -330,11 +371,30 @@ class TestBatchedKernelEquivalence:
                 F = np.broadcast_to(flt.X[t, [0, *(np.array(p, int) + 1)]], (N, grp.d))
                 f, q = grp.forecast(F)
                 dens.append(grp.log_densities(panel.R[t], f, q))
-                grp.update(panel.R[t], f, q)
+                grp.update()
             lp = cfg.alpha * lp + np.concatenate(dens, axis=1)
             lp -= scipy_logsumexp(lp, axis=1, keepdims=True)
             np.testing.assert_allclose(flt.asset_log_probs, lp, rtol=0, atol=1e-12)
         flt.close()
+
+
+    def test_asset_covariance_into_buffers_matches_the_allocating_form(self):
+        # B sig B' + diag(idio), symmetrized as (cov + cov') / 2, bit for bit,
+        # whether it allocates or writes into reused buffers
+        rng = np.random.default_rng(24)
+        N, K = 37, 5
+        out, work = np.full((N, N), np.nan), np.full((N, N), np.nan)
+        for _ in range(3):
+            B = rng.normal(size=(N, K))
+            A = rng.normal(size=(K, K))
+            sig, idio = A @ A.T, rng.uniform(0.1, 1.0, N)
+            ref = B @ sig @ B.T
+            ref[np.diag_indices(N)] += idio
+            ref = (ref + ref.T) / 2.0
+            assert asset_covariance(B, sig, idio, out=out, work=work) is out
+            for cov in (out, asset_covariance(B, sig, idio)):
+                assert cov.tobytes() == ref.tobytes()
+                assert np.array_equal(cov, cov.T)
 
 
 def reference_singleton_run(panel):
@@ -398,8 +458,7 @@ class TestComposedOracle:
             for mi, m in enumerate(masks):
                 states[j, mi] = dlm.init_state(1 + bin(m).count("1"), s0)
         for t in range(panel.T):
-            sel = flt.forecast_step()[-1]
-            flt.update_step(t, sel)
+            flt.update_step(t, flt.select())
             for j in range(panel.n_assets):
                 for mi, m in enumerate(masks):
                     idx = [i for i in range(2) if (m >> i) & 1]
@@ -471,6 +530,50 @@ class TestEngineInvariants:
         assert s1.acc == pytest.approx(s2.acc, abs=1e-12)
         np.testing.assert_allclose(s2.asset_mean, s1.asset_mean[:, perm], atol=1e-12)
         np.testing.assert_allclose(s2.inclusion, s1.inclusion[:, perm, :], atol=1e-12)
+
+    def test_recoupling_only_on_evaluation_dates_changes_nothing(self):
+        # recouple reads the evolved priors and writes no state, so a filter
+        # that recouples on evaluation dates only, as _run_model does, stays
+        # bit-identical to one that recouples on every date
+        panel = small_panel(seed=25, N=5, K=3, T=40, train=25)
+        cfg = RunConfig(ordering="learn")
+        assert cfg.sparsity
+        lazy, eager = _DynamicFactorFilter(panel, cfg), _DynamicFactorFilter(panel, cfg)
+        for t in range(panel.T):
+            sel_lazy, sel_eager = lazy.select(), eager.select()
+            moments = eager.recouple(sel_eager)
+            if t >= panel.train_len:
+                for a, b in zip(lazy.recouple(sel_lazy), moments):
+                    assert np.array_equal(a, b)
+            lazy.update_step(t, sel_lazy)
+            eager.update_step(t, sel_eager)
+            for name in ("asset_log_probs", "factor_log_probs", "ordering_log_probs"):
+                assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
+            for a, b in zip(lazy.asset_groups + lazy.factor_groups,
+                            eager.asset_groups + eager.factor_groups):
+                for name in ("_m", "_C", "_s", "n"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        lazy.close()
+        eager.close()
+
+    def test_asset_log_probs_round_trip(self):
+        # stored as (masks x P, N) rows, shown as (N, masks x P) columns:
+        # mask in flt.masks order, then delta, then kappa
+        panel = small_panel(seed=26, N=4, K=3, T=30, train=20)
+        flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed"))
+        for t in range(5):
+            flt.update_step(t, flt.select())
+            lp = flt.asset_log_probs
+            assert lp.shape == (4, len(flt.masks) * flt.P_r)
+            np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        new = engine._normalize_rows(np.random.default_rng(27).normal(size=lp.shape))
+        flt.asset_log_probs = new
+        assert np.array_equal(flt.asset_log_probs, new)
+        sel_assets, *_ = flt.select()
+        np.testing.assert_array_equal(sel_assets, np.argmax(flt.config.alpha * new, axis=1))
+        new[0, 0] = 0.0     # the setter took a copy
+        assert flt.asset_log_probs[0, 0] != 0.0
+        flt.close()
 
     def test_stats_match_backtest_lpd(self):
         panel = small_panel(seed=9)

@@ -1,7 +1,7 @@
 """Factor ordering enumeration, probabilities and moment mixing.
 
 The ordering probabilities run the engine's forget-then-Bayes recursion:
-``forecast_step`` forgets them with ``alpha_ord`` and ``update_step`` adds
+``select`` forgets them with ``alpha_ord`` and ``update_step`` adds
 each ordering's joint factor density, both renormalized by
 ``_normalize_rows``.
 """
@@ -49,7 +49,7 @@ class TestUpdateOrderingProbs:
         panel = factor_panel(K=2)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", alpha_ord=0.99))
         for t in range(5):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             assert flt.ordering_log_probs.tolist() == [0.0]
 
     def test_identical_densities_are_neutral(self):
@@ -81,7 +81,7 @@ class TestUpdateOrderingProbs:
                 states[o, j] = dlm.init_state(1 + j, float((y - X @ coef).var()))
         cum = np.zeros(flt.n_ord)
         for t in range(panel.T):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             for o, perm in enumerate(flt.perms):
                 for j in range(K):
                     F = np.concatenate(([1.0], panel.F[t, perm[:j]]))
@@ -105,10 +105,12 @@ class TestUpdateOrderingProbs:
                                                        **grids))
                  for perm in learned.perms]
         for t in range(panel.T):
-            *_, lam, sig, selection = learned.forecast_step()
+            selection = learned.select()
+            *_, lam, sig = learned.recouple(selection)
             means, covs = [], []
             for perm, flt in zip(learned.perms, fixed):
-                *_, lam_o, sig_o, sel_o = flt.forecast_step()
+                sel_o = flt.select()
+                *_, lam_o, sig_o = flt.recouple(sel_o)
                 mean_o, cov_o = to_canonical(perm, lam_o, sig_o)
                 means.append(mean_o)
                 covs.append(cov_o)
@@ -212,5 +214,5 @@ class TestCanonicalMapping:
 
     def test_forget_uniform_fixed_point(self):
         flt = _DynamicFactorFilter(factor_panel(K=3), RunConfig(ordering="learn", alpha_ord=0.9))
-        lp_ord_pred = flt.forecast_step()[-1][2]
+        lp_ord_pred = flt.select()[2]
         np.testing.assert_allclose(lp_ord_pred, np.full(6, -np.log(6)), atol=1e-14)

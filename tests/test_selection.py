@@ -1,6 +1,6 @@
 """Model spaces and dynamic model probabilities, as the engine runs them.
 
-Every pool forgets its log probabilities (times alpha) in ``forecast_step``
+Every pool forgets its log probabilities (times alpha) in ``select``
 and Bayes-updates them with the kernel's one-step predictive densities in
 ``update_step``, which renormalizes with ``_normalize_rows``; the forgotten
 probabilities are left unnormalized, since the update removes any row
@@ -34,8 +34,8 @@ def forget(flt, log_probs):
     """The engine's forgetting step on given asset log probabilities:
     (predicted log probabilities, normalized, selected spec per asset)."""
     flt.asset_log_probs = np.asarray(log_probs, float)
-    sel_assets, _, _, lp_pred, _ = flt.forecast_step()[-1]
-    return _normalize_rows(lp_pred), sel_assets
+    sel_assets, _, _, lp_pred, _ = flt.select()
+    return _normalize_rows(lp_pred.T), sel_assets
 
 
 def update(predicted, log_densities):
@@ -151,7 +151,7 @@ class TestUpdateProbs:
         states = [dlm.init_state(2, float(flt.s0_assets[0])) for _ in specs]
         cum = np.zeros(len(specs))
         for t in range(panel.T):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             F = np.array([1.0, panel.F[t, 0]])
             y = float(panel.R[t, 0])
             for i, (d, k) in enumerate(specs):
@@ -189,7 +189,7 @@ class TestSelectBest:
 class TestInclusionProbability:
     def test_singleton_containing(self):
         flt = make_filter(K=1)
-        flt.update_step(0, flt.forecast_step()[-1])
+        flt.update_step(0, flt.select())
         np.testing.assert_allclose(flt.inclusion(), 1.0, atol=1e-12)
 
     def test_uniform_enumeration_oracle(self):
@@ -199,7 +199,7 @@ class TestInclusionProbability:
         panel.F[:] = 0.0
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", delta_grid=(1.0,),
                                                     kappa_r_grid=(1.0,)))
-        flt.update_step(0, flt.forecast_step()[-1])
+        flt.update_step(0, flt.select())
         np.testing.assert_allclose(flt.inclusion(), 2.0 / 3.0, atol=1e-12)
 
     def test_partition_sums_to_one(self):
@@ -207,7 +207,7 @@ class TestInclusionProbability:
         # the specs whose parent mask holds the factor, exclusion the rest
         flt = make_filter(K=3, N=3)
         for t in range(10):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
         inclusion = flt.inclusion()
         p = np.exp(flt.asset_log_probs)
         masks = spec_masks(flt)
@@ -225,11 +225,11 @@ class TestInclusionProbability:
         # moving probability onto the specs holding factor 0 raises its inclusion
         base, shifted = make_filter(K=2, N=1), make_filter(K=2, N=1)
         for flt in (base, shifted):
-            flt.update_step(0, flt.forecast_step()[-1])
+            flt.update_step(0, flt.select())
         holds = (spec_masks(shifted) & 1) == 1
         shifted.asset_log_probs = _normalize_rows(shifted.asset_log_probs + holds)
         for flt in (base, shifted):
-            flt.update_step(1, flt.forecast_step()[-1])
+            flt.update_step(1, flt.select())
         after = [flt.inclusion()[0, 0] for flt in (base, shifted)]
         assert after[1] > after[0]
 
@@ -257,7 +257,7 @@ class TestProperties:
         states = [dlm.init_state(2, float(flt.s0_assets[0])) for _ in range(2)]
         diffs = []
         for t in range(panel.T):
-            flt.update_step(t, flt.forecast_step()[-1])
+            flt.update_step(t, flt.select())
             F = np.array([1.0, panel.F[t, 0]])
             y = float(panel.R[t, 0])
             dens = []
