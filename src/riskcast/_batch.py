@@ -35,13 +35,21 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NumericError
+from .errors import NumericError, ShapeError
 
 # floor on predictive dof in r/(r-2), so a deep volatility discount cannot abort a run
 DOF_FLOOR = 2.05
 # prior scale C0 = C0_STAR * s0 * I, in units of the equation's prior variance s0,
 # and prior dof N0; chosen on held-out LPD (see engine.DEFAULT_DELTA_GRID)
 C0_STAR, N0 = 1e3, 5.0
+
+
+def _ols_residual_variance(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Prior scale s0 of each column of Y regressed on X: the plain sample
+    variance of its OLS residuals, floored away from zero; one fit for all columns."""
+    coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    resid = Y - X @ coef
+    return np.maximum(resid.var(axis=0), 1e-12)
 
 
 class PoolGroup:
@@ -166,11 +174,11 @@ class PoolGroup:
         return a, R, self.r[p_idx], s_prev
 
 
-def _regression_moments(SXX, a, R, r, s, dof_floor):
+def _regression_moments(SXX, a, R, r, s):
     """E[y X] = S_XX a, (b, d), and the expected predictive variance
     r/(r-2) (s + tr(R S_XX)), (b,), of the selected priors (a, R, r, s), with
-    r floored at ``dof_floor``; SXX is (b, d, d) or one (d, d) for all b."""
-    r = np.maximum(r, dof_floor)
+    r floored at DOF_FLOOR; SXX is (b, d, d) or one (d, d) for all b."""
+    r = np.maximum(r, DOF_FLOOR)
     yX = np.einsum("...ij,...j->...i", SXX, a)
     return yX, (r / (r - 2.0)) * (s + np.einsum("...ij,...ji->...", R, SXX))
 
@@ -184,8 +192,7 @@ def moment_offsets(cols) -> list[np.ndarray]:
             for c in cols]
 
 
-def recursive_factor_moments(offsets, a_sel, R_sel, r_sel, s_sel,
-                             dof_floor: float = DOF_FLOOR) -> np.ndarray:
+def recursive_factor_moments(offsets, a_sel, R_sel, r_sel, s_sel) -> np.ndarray:
     """Second moments S (o, K+1, K+1) of x = (1, factors) for every ordering.
 
     Position j's block of S sits at ``offsets[j]``, from ``moment_offsets``,
@@ -197,15 +204,30 @@ def recursive_factor_moments(offsets, a_sel, R_sel, r_sel, s_sel,
     S[:, 0, 0] = 1.0
     flat = S.reshape(-1)
     for off, a, R, r, s in zip(offsets, a_sel, R_sel, r_sel, s_sel):
-        yX, var = _regression_moments(flat[off[:, :-1, :-1]], a, R, r, s, dof_floor)
+        yX, var = _regression_moments(flat[off[:, :-1, :-1]], a, R, r, s)
         flat[off[:, -1, :-1]] = yX
         flat[off[:, :-1, -1]] = yX
         flat[off[:, -1, -1]] = var + np.einsum("oi,oi->o", a, yX)
     return S
 
 
+def mixture_factor_moments(log_probs: np.ndarray, S) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the ordering mixture, from each ordering's second
+    moments E[x x'] of x = (1, factors), S (o, K+1, K+1), in factor-id order.
+    The mixture's second moments are their probability-weighted average, so its
+    covariance needs no separate between-ordering spread of the means."""
+    p = np.exp(np.asarray(log_probs, float))
+    S = np.asarray(S, float)
+    if S.shape[0] != p.size:
+        raise ShapeError("per-ordering moments must align with probabilities")
+    S_mix = np.einsum("o,oij->ij", p, S)
+    mean = S_mix[0, 1:]
+    cov = S_mix[1:, 1:] - np.outer(mean, mean)
+    return mean, (cov + cov.T) / 2.0
+
+
 def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
-                          lam: np.ndarray, sig: np.ndarray, dof_floor: float = DOF_FLOOR):
+                          lam: np.ndarray, sig: np.ndarray):
     """Mean vector, loading matrix and idiosyncratic variances of all assets.
 
     Asset j uses member ``members[j]`` of the groups in sequence, under spec
@@ -230,7 +252,7 @@ def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
         a, R, r[rows], s[rows] = grp.selected(mem, p_idx[rows])
         a_x[rows[:, None], cx] = a
         R_x[rows[:, None, None], cx[:, :, None], cx[:, None, :]] = R
-    yX, idio = _regression_moments(S, a_x, R_x, r, s, dof_floor)
+    yX, idio = _regression_moments(S, a_x, R_x, r, s)
     return yX[:, 0], a_x[:, 1:], idio
 
 

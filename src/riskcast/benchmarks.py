@@ -1,8 +1,15 @@
-"""Reference covariance and mean estimators used for comparison runs.
+"""Comparison models: reference covariance and mean estimators.
 
-All estimators emit symmetric matrices that are positive semi-definite up to
-float tolerance; consumers add a small documented diagonal jitter before
-inversion.  The exchangeable local-level model with discounted matrix
+``PREDICTORS`` maps each comparison row's name to a generator function
+``predict(R, F, train)`` of the (T, N) asset and (T, K) factor returns.  After
+fitting on the first ``train`` dates it yields, for each evaluation date t in
+turn, the (mean, covariance) predicted from the dates before t.  Each
+covariance is a fresh symmetric (N, N) array, PSD up to float tolerance, which
+the engine changes in place: it adds ``engine.COV_JITTER`` times the mean
+variance to the diagonal before the weight solve and the Gaussian LPD.  The
+rolling-window and EWMA rows predict the mean by momentum.  The estimators are
+called through this module's globals, so a wrapper set on the module sees
+every call.  The exchangeable local-level model with discounted matrix
 volatility follows the standard recursion:
 
     prior scale     rho = c / delta
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
+from . import portfolio as pf
 from .errors import MomentError, NumericError, ParameterError, ShapeError
 
 
@@ -98,9 +106,7 @@ def efm_cov(returns_window: np.ndarray, factor_window: np.ndarray) -> np.ndarray
     B = np.zeros((R.shape[1], k))
     B[:, keep] = coef[1:].T
     fc = np.cov(F.T, ddof=1).reshape(k, k)
-    idio = resid.var(axis=0, ddof=keep.size + 1)
-    sigma = B @ fc @ B.T + np.diag(idio)
-    return (sigma + sigma.T) / 2.0
+    return _batch.asset_covariance(B, fc, resid.var(axis=0, ddof=keep.size + 1))
 
 
 @dataclass(frozen=True)
@@ -178,14 +184,17 @@ class FactorWishartDLM:
     a single (delta, kappa) pair, so all assets advance in one set of array
     operations on their one shared row (1, factors), as one group; their predictive
     moments come from ``batched_asset_moments`` given the factor forecast.
+    ``s0`` is the asset filters' prior scale, one value or one per asset.
     The recursions are those of ``dlm.evolve`` / ``dlm.update`` and
     ``recouple.asset_moments``, which remain the reference in the tests.
+    ``predict`` raises MomentError at asset dof r <= 2; ``_batch.DOF_FLOOR``
+    does not bind, as r = kappa n starts at 4.95 under the default kappa.
     """
 
-    def __init__(self, n_assets: int, n_factors: int, s0_assets: np.ndarray | float = 0.1,
+    def __init__(self, n_assets: int, n_factors: int, s0: np.ndarray | float = 0.1,
                  delta: float = 0.997, kappa: float = 0.99, s0_diag: float = 0.1):
         self.factor_state = initial_wishart_state(n_factors, s0_diag, delta, kappa)
-        s0 = np.maximum(np.broadcast_to(np.asarray(s0_assets, float), (n_assets,)), 1e-12)
+        s0 = np.maximum(np.broadcast_to(np.asarray(s0, float), (n_assets,)), 1e-12)
         self.assets = _batch.PoolGroup(1 + n_factors, n_assets, (delta,), (kappa,), s0, groups=1)
         # (columns, member, spec) of every asset for batched_asset_moments
         cols = np.broadcast_to(np.arange(1 + n_factors), (n_assets, 1 + n_factors))
@@ -197,8 +206,7 @@ class FactorWishartDLM:
         lam, sig_f = wishart_predictive(self.factor_state)
         if (r := float(self.assets.r[0])) <= 2.0:
             raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
-        mean, B, idio = _batch.batched_asset_moments([self.assets], *self._sel, lam, sig_f,
-                                                     dof_floor=2.0)
+        mean, B, idio = _batch.batched_asset_moments([self.assets], *self._sel, lam, sig_f)
         return mean, _batch.asset_covariance(B, sig_f, idio)
 
     def step(self, y_factors: np.ndarray, y_assets: np.ndarray) -> None:
@@ -209,3 +217,48 @@ class FactorWishartDLM:
         grp.log_densities(y_assets, f, q)
         grp.update()
         grp.evolve()
+
+
+def _efm(R, F, train):
+    for t in range(train, len(R)):
+        cov = efm_cov(R[t - train:t], F[t - train:t])
+        yield pf.momentum_signal(R, t), cov
+
+
+def _lw(R, F, train):
+    for t in range(train, len(R)):
+        cov = lw_shrinkage(R[t - train:t])
+        yield pf.momentum_signal(R, t), cov
+
+
+def _ewma(decay: float):
+    def predict(R, F, train):
+        sigma = np.cov(R[:train].T, ddof=1).reshape(R.shape[1], R.shape[1])
+        for t in range(train, len(R)):
+            mean = pf.momentum_signal(R, t)
+            cov, sigma = sigma, ewma_cov(sigma, R[t], decay)
+            yield mean, cov
+    return predict
+
+
+def _wdlm(R, F, train):
+    state = initial_wishart_state(R.shape[1])
+    for t in range(len(R)):
+        state, mean, cov = wishart_dlm_step(state, R[t])
+        if t >= train:
+            yield mean, cov
+
+
+def _factor_wdlm(R, F, train):
+    X = np.column_stack([np.ones(train), F[:train]])
+    model = FactorWishartDLM(R.shape[1], F.shape[1], _batch._ols_residual_variance(R[:train], X))
+    for t in range(train):
+        model.step(F[t], R[t])
+    for t in range(train, len(R)):
+        predicted = model.predict()
+        model.step(F[t], R[t])
+        yield predicted
+
+
+PREDICTORS = {"efm": _efm, "lw": _lw, "ewma97": _ewma(0.97), "ewma99": _ewma(0.99),
+              "wdlm": _wdlm, "factor-wdlm": _factor_wdlm}

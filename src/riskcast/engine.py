@@ -6,12 +6,26 @@ evaluation dates only.  Weights at date t use information through t-1 only;
 the realized values of date t enter afterwards via the Bayes updates.  The
 training window runs through the same filter but records no metrics or weights.
 
+Factor forecasts depend on the order in which the factors enter the
+triangular system, so the model learns over all K! orderings, K at most
+``ORDERING_CAP``.  They share equations (position j regresses a factor on the
+j placed before it), each filtered once, and their probabilities follow the
+forget-then-Bayes recursion of the model probabilities.  Factor moments are
+averaged over orderings, not selected: the mixture's E[x x'], x = (1, factors),
+is the probability-weighted average of each ordering's (law of total variance).
+
+One scoring loop turns the (mean, covariance) that each comparison row's
+predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
+Gaussian LPD; "ew" is the only comparison model the engine names.
+
 Reduction order is fixed (by equation index, then pool-group index, then
 ordering index), so multi-threaded runs are bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,11 +36,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import benchmarks as bench
 from . import portfolio as pf
-from ._batch import (DOF_FLOOR, PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
+from ._batch import (DOF_FLOOR, PoolGroup, _ols_residual_variance, asset_covariance,
+                     batched_asset_moments, mixture_factor_moments, moment_offsets,
                      recursive_factor_moments)
 from .data import ReturnPanel
-from .errors import ParameterError, RiskcastError, WindowError
-from .ordering import ORDERING_CAP, enumerate_orderings, mixture_factor_moments
+from .errors import CapacityError, ParameterError, RiskcastError
 from .portfolio import BacktestReport, ModelRow, TCResult
 
 MODEL_NAME = "dfs-dlm"
@@ -54,11 +68,14 @@ DEFAULT_KAPPA_R_GRID = (0.99, 0.995, 1.0)
 DEFAULT_KAPPA_F_GRID = (0.999, 1.0)
 
 # Comparison models that run_backtest can add next to the model's own row.
-COMPARISON_MODELS = ("efm", "lw", "ewma97", "ewma99", "wdlm", "factor-wdlm", "ew")
+COMPARISON_MODELS = (*bench.PREDICTORS, "ew")
 
 # Relative diagonal jitter added to each comparison model's covariance
 # before its weight solve and Gaussian LPD.
 COV_JITTER = 1e-8
+
+# Largest factor count K whose K! orderings a learned-ordering run enumerates.
+ORDERING_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -111,6 +128,8 @@ class RunConfig:
             raise ParameterError("risk aversions must be > 0")
         if self.threads < 1:
             raise ParameterError("threads must be >= 1")
+        if self.periods_per_year < 1:
+            raise ParameterError("periods_per_year must be >= 1")
 
     @property
     def tau_periodic(self) -> float:
@@ -162,14 +181,6 @@ class StatsResult:
     factors: tuple[str, ...]
 
 
-def _ols_residual_variance(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Plain sample variance of the OLS residuals of each column of Y on X,
-    floored away from zero; one least-squares fit for all columns."""
-    coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    resid = Y - X @ coef
-    return np.maximum(resid.var(axis=0), 1e-12)
-
-
 def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     """log(sum(exp(a))) over ``axis``, shifted by the maximum for stability.
 
@@ -205,7 +216,6 @@ class _DynamicFactorFilter:
         if not fs or any(i < 0 or i >= panel.n_factors for i in fs):
             raise ParameterError(f"factor_set {fs} empty or outside the panel's {panel.n_factors} factors")
         self.factor_names = tuple(panel.factors[i] for i in fs)
-        self.all_factors = fs == tuple(range(panel.n_factors))
         # x_t = (1, factors at t), the leading columns of z_t
         self.X = np.column_stack([np.ones(panel.T), panel.F[:, list(fs)]])
         self.R = panel.R
@@ -214,10 +224,13 @@ class _DynamicFactorFilter:
         if train < K + 2:
             raise ParameterError(f"train_len {train} too short for OLS priors over {K} factors")
 
-        if config.ordering == "learn":
-            perms = enumerate_orderings(K, config.ordering_cap)
-        else:
+        if config.ordering == "fixed":
             perms = [tuple(range(K))]
+        elif K > config.ordering_cap:
+            raise CapacityError(f"{K} factors give {math.factorial(K)} orderings, above the cap "
+                                f"of {config.ordering_cap}!; run with a fixed ordering instead")
+        else:
+            perms = list(itertools.permutations(range(K)))     # lexicographic
         self.perms = np.array(perms, dtype=int)
         self.n_ord = len(perms)
         self.ordering_log_probs = np.full(self.n_ord, -np.log(self.n_ord))
@@ -231,10 +244,9 @@ class _DynamicFactorFilter:
         masks = range(1, 1 << K) if config.sparsity else [(1 << K) - 1]
         self.masks = np.array(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
         mi, j = np.divmod(np.arange(len(self.masks) * N), N)
-        self.s0_assets = _ols_residual_variance(self.R[:train], self.X[:train])
+        s0 = _ols_residual_variance(self.R[:train], self.X[:train])
         self.asset_groups, self.asset_eqs = self._pools(
-            self.masks[mi], 1 + K + j, config.kappa_r_grid,
-            lambda rec: self.s0_assets[rec[:, -1] - 1 - K])
+            self.masks[mi], 1 + K + j, config.kappa_r_grid, lambda rec: s0[rec[:, -1] - 1 - K])
         n_specs = len(self.masks) * self.P_r
         self._asset_lp = np.full((n_specs, N), -np.log(n_specs))
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
@@ -388,8 +400,6 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         fac_cov = np.zeros((T_eval, K, K))
         weights = np.zeros((T_eval, N)) if collect_weights else None
         cov, work = (np.empty((N, N)), np.empty((N, N))) if collect_weights else (None, None)
-        bound = config.box_bound
-        tau = config.tau_periodic
         momentum = config.mean_signal == "momentum" and config.strategy != "gmv"
 
         for t in range(panel.T):
@@ -402,7 +412,7 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                     if collect_weights:
                         asset_covariance(B, sig, idio, out=cov, work=work)
                         mu = pf.momentum_signal(flt.R, t) if momentum else mean
-                        weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
+                        weights[i] = _solve_weights(config, mu, cov,
                                                     weights[i - 1] if i > 0 else None).w
                 lpd_t = flt.update_step(t, selection)
                 if i >= 0:
@@ -427,16 +437,15 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         dates=panel.dates[train:],
         factors=flt.factor_names,
     )
-    # the asset OLS priors, reusable by a comparison model on the same regressors
-    s0_assets = flt.s0_assets if flt.all_factors else None
-    return stats, weights, train, s0_assets
+    return stats, weights, train
 
 
-def _solve_weights(strategy: str, mean: np.ndarray, cov: np.ndarray, tau: float,
-                   bound: float | None, start: np.ndarray | None = None) -> pf.WeightVector:
-    """Weights for one date; ``start`` (the previous date's weights of the same
-    row) warm-starts the box solve."""
-    if strategy == "gmv":
+def _solve_weights(config: RunConfig, mean: np.ndarray, cov: np.ndarray,
+                   start: np.ndarray | None) -> pf.WeightVector:
+    """Weights for one date under the run's strategy; ``start`` (the previous
+    date's weights of the same row) warm-starts the box solve."""
+    bound, tau = config.box_bound, config.tau_periodic
+    if config.strategy == "gmv":
         if bound is not None:
             return pf.constrained_weights(cov, bound, start=start)
         return pf.gmv_weights(cov)
@@ -454,73 +463,28 @@ def _gaussian_lpd(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
 
 
 def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
-                              train: int, s0_assets: np.ndarray | None = None
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Benchmark loop -> (weights, lpd_series, forecast means) over evaluation dates.
-
-    EFM / LW / EWMA use the momentum signal as their mean predictor; the
-    local-level models predict their own means.  Densities are Gaussian.
-    ``s0_assets`` are the OLS residual variances of the assets on all factors
-    over the training window, when the model has already fitted them.
-    """
-    R, F = panel.R, panel.F
-    N = panel.n_assets
+                              train: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score comparison row ``name`` -> (weights, lpd_series, forecast means)
+    over the evaluation dates: its predictor's covariance, plus the jitter,
+    gives warm-started weights and a Gaussian density of the realized returns."""
+    R, N = panel.R, panel.n_assets
     T_eval = panel.T - train
-    weights = np.zeros((T_eval, N))
-    lpd = np.zeros(T_eval)
-    means = np.zeros((T_eval, N))
-    bound = config.box_bound
-    tau = config.tau_periodic
-    needs_momentum = name in ("efm", "lw", "ewma97", "ewma99")
-    if needs_momentum and train < 52:
-        raise WindowError(f"benchmark {name} needs train_len >= 52 for the momentum signal")
-
-    state = None
-    if name == "wdlm":
-        state = bench.initial_wishart_state(N)
-        for t in range(train):
-            state, _, _ = bench.wishart_dlm_step(state, R[t])
-    elif name == "factor-wdlm":
-        if s0_assets is None:
-            s0_assets = _ols_residual_variance(R[:train],
-                                               np.column_stack([np.ones(train), F[:train]]))
-        state = bench.FactorWishartDLM(N, panel.n_factors, s0_assets)
-        for t in range(train):
-            state.step(F[t], R[t])
-    elif name in ("ewma97", "ewma99"):
-        sigma = np.cov(R[:train].T, ddof=1).reshape(N, N)
-
-    for t in range(train, panel.T):
-        i = t - train
-        if name == "efm":
-            cov = bench.efm_cov(R[t - train:t], F[t - train:t])
-            mu = pf.momentum_signal(R, t)
-        elif name == "lw":
-            cov = bench.lw_shrinkage(R[t - train:t])
-            mu = pf.momentum_signal(R, t)
-        elif name in ("ewma97", "ewma99"):
-            cov = sigma.copy()
-            mu = pf.momentum_signal(R, t)
-        elif name == "wdlm":
-            state, mu, cov = bench.wishart_dlm_step(state, R[t])
-        elif name == "factor-wdlm":
-            mu, cov = state.predict()
-            state.step(F[t], R[t])
-        cov.flat[::N + 1] += COV_JITTER * np.trace(cov) / N    # into this row's own copy
-        weights[i] = _solve_weights(config.strategy, mu, cov, tau, bound,
-                                    weights[i - 1] if i > 0 else None).w
-        lpd[i] = _gaussian_lpd(R[t], mu, cov)
-        means[i] = mu
-        if name in ("ewma97", "ewma99"):
-            sigma = bench.ewma_cov(sigma, R[t], 0.97 if name == "ewma97" else 0.99)
+    weights, lpd, means = np.zeros((T_eval, N)), np.zeros(T_eval), np.zeros((T_eval, N))
+    predictions = bench.PREDICTORS[name](R, panel.F, train)
+    for i, t in enumerate(range(train, panel.T)):
+        try:
+            mu, cov = next(predictions)
+            cov.flat[::N + 1] += COV_JITTER * np.trace(cov) / N    # into this row's own copy
+            weights[i] = _solve_weights(config, mu, cov, weights[i - 1] if i > 0 else None).w
+            lpd[i], means[i] = _gaussian_lpd(R[t], mu, cov), mu
+        except RiskcastError as exc:
+            raise type(exc)(f"{name}, date {panel.dates[t]}: {exc}") from exc
     return weights, lpd, means
 
 
 def _build_row(name: str, weights: np.ndarray, realized: np.ndarray, config: RunConfig,
                lpd: float | None, acc: float | None) -> ModelRow:
-    per_tc = []
-    gross = None
-    turnover = None
+    per_tc, gross, turnover = [], None, None
     for tc in config.tc_bps:
         g, net, to = pf.apply_costs(weights, realized, tc)
         stats = pf.performance(net, config.periods_per_year)
@@ -531,18 +495,17 @@ def _build_row(name: str, weights: np.ndarray, realized: np.ndarray, config: Run
 
 def run_backtest(panel: ReturnPanel, config: RunConfig) -> BacktestReport:
     """Full backtest of the dynamic factor model plus configured benchmarks."""
-    stats, weights, train, s0_assets = _run_model(panel, config, collect_weights=True)
+    stats, weights, train = _run_model(panel, config, collect_weights=True)
     realized = panel.R[train:]
     rows = [_build_row(MODEL_NAME, weights, realized, config, stats.lpd, stats.acc)]
     for name in config.benchmarks:
         if name == "ew":
-            w = np.broadcast_to(np.full(panel.n_assets, 1.0 / panel.n_assets),
-                                realized.shape).copy()
-            rows.append(_build_row("ew", w, realized, config, None, None))
-            continue
-        bw, blpd, bmeans = _run_covariance_benchmark(name, panel, config, train, s0_assets)
-        acc = pf.hit_rate(bmeans, realized)
-        rows.append(_build_row(name, bw, realized, config, float(blpd.sum()), acc))
+            w = np.full(realized.shape, 1.0 / panel.n_assets)
+            rows.append(_build_row(name, w, realized, config, None, None))
+        else:
+            bw, blpd, bmeans = _run_covariance_benchmark(name, panel, config, train)
+            acc = pf.hit_rate(bmeans, realized)
+            rows.append(_build_row(name, bw, realized, config, float(blpd.sum()), acc))
 
     ref = next((r for r in rows if r.name == config.fee_reference), None)
     if ref is not None:
@@ -551,11 +514,9 @@ def run_backtest(panel: ReturnPanel, config: RunConfig) -> BacktestReport:
                 for g in config.gamma:
                     cand.fees_bps[g] = pf.management_fee(cand.net, base.net, g,
                                                          config.periods_per_year)
-    header = config.header()
-    header["train_len"] = train
-    header["n_assets"] = panel.n_assets
-    header["factors"] = list(stats.factors)
-    header["fee_reference"] = config.fee_reference if ref is not None else None
+    header = {**config.header(), "train_len": train, "n_assets": panel.n_assets,
+              "factors": list(stats.factors),
+              "fee_reference": config.fee_reference if ref is not None else None}
     return BacktestReport(stats.dates, header, rows)
 
 

@@ -13,8 +13,8 @@ The engine runs none of this module.  It uses the batched
 which apply the same integral as one formula in the second moments
 E[x x'] of x = (1, factors) rather than in (mean, covariance).
 ``factor_moments`` and ``asset_moments`` are the scalar references that the
-tests hold those against, and the benchmark's tracer hooks ``asset_moments``
-by name.
+tests hold those against, with ``to_canonical`` mapping an ordering's moments
+back to factor ids, and the benchmark's tracer hooks ``asset_moments`` by name.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dlm, ordering
+from . import dlm
 from .errors import MomentError, ShapeError
 
 
@@ -87,7 +87,17 @@ def factor_moments(perm: Sequence[int], priors: Sequence[dlm.PriorState]
         cross = c_pa @ a_b
         cov[j, :j] = cross
         cov[:j, j] = cross
-    return ordering.to_canonical(tuple(perm), mean, cov)
+    return to_canonical(tuple(perm), mean, cov)
+
+
+def to_canonical(perm: tuple[int, ...], mean_perm: np.ndarray,
+                 cov_perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map position-indexed moments back to factor-id coordinates."""
+    perm = np.asarray(perm)
+    mean, cov = np.empty(perm.size), np.empty((perm.size, perm.size))
+    mean[perm] = mean_perm
+    cov[np.ix_(perm, perm)] = cov_perm
+    return mean, cov
 
 
 def asset_moments(factor_mean: np.ndarray, factor_cov: np.ndarray,

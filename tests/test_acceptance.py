@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from _oracles import batch_nig_posterior, fee_bisection
 from riskcast import dlm, portfolio as pf
 from riskcast._batch import (PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
                              recursive_factor_moments)
@@ -25,16 +26,6 @@ def report(name, ok, detail):
 
 # --------------------------------------------------------------------------
 # 1. conjugacy oracle
-
-
-def batch_nig_posterior(X, y, m0, C0, n0, s0):
-    V0i = np.linalg.inv(C0 / s0)
-    VTi = V0i + X.T @ X
-    VT = np.linalg.inv(VTi)
-    mT = VT @ (V0i @ m0 + X.T @ y)
-    nT = n0 + len(y)
-    sT = (n0 * s0 + y @ y + m0 @ V0i @ m0 - mT @ VTi @ mT) / nT
-    return mT, VT * sT, nT, sT
 
 
 def test_criterion_1_conjugacy_oracle():
@@ -303,21 +294,6 @@ def test_criterion_5_optimizer_contracts():
 # 6. management fee contract
 
 
-def _fee_bisection(rc, rb, gamma, lo=-0.5, hi=0.5):
-    c = gamma / (2 * (1 + gamma))
-
-    def gap(phi):
-        return np.sum((rc - phi) - c * (rc - phi) ** 2) - np.sum(rb - c * rb ** 2)
-
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if gap(lo) * gap(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
-
-
 def test_criterion_6_fee_contract():
     start = time.time()
     rng = np.random.default_rng(1006)
@@ -329,7 +305,7 @@ def test_criterion_6_fee_contract():
         rb = np.full(104, float(rng.uniform(-0.005, 0.005)))
         for gamma in (2.0, 6.0, 10.0):
             phi = pf.management_fee(rc, rb, gamma) / 52 / 1e4
-            worst = max(worst, abs(phi - _fee_bisection(rc, rb, gamma)))
+            worst = max(worst, abs(phi - fee_bisection(rc, rb, gamma)))
     elapsed = time.time() - start
     report("6 fee contract", exact_zero and worst < 1e-12 and elapsed < 5,
            f"identical-series fee exactly zero: {exact_zero}, "

@@ -10,7 +10,7 @@ from test_engine import small_panel
 
 from riskcast.data import ReturnPanel
 from riskcast.engine import RunConfig, run_backtest
-from riskcast.errors import MomentError, NumericError, ParameterError
+from riskcast.errors import MomentError, NumericError, ParameterError, WindowError
 
 
 class TestEWMA:
@@ -196,7 +196,7 @@ class TestWishartDLM:
 class TestFactorWishartDLM:
     def test_predictions_precede_updates(self):
         rng = np.random.default_rng(8)
-        model = FactorWishartDLM(n_assets=3, n_factors=2, s0_assets=0.05)
+        model = FactorWishartDLM(n_assets=3, n_factors=2, s0=0.05)
         mean1, cov1 = model.predict()
         model.step(rng.normal(size=2), rng.normal(size=3))
         assert mean1.shape == (3,)
@@ -269,3 +269,25 @@ class TestEW:
         base, _ = ew_row(n)
         moved, _ = ew_row(n, shift=0.01)
         np.testing.assert_allclose(moved.gross - base.gross, 0.01, rtol=0, atol=1e-12)
+
+
+class TestComparisonRows:
+    """Comparison rows as ``run_backtest`` scores them from their predictors."""
+
+    def test_factor_wdlm_row_ignores_the_model_factor_set(self):
+        # the row fits its own priors on every factor, whichever factors the model uses
+        panel = small_panel(seed=16, N=5, K=3, T=70, train=40)
+        a, b = (run_backtest(panel, RunConfig(ordering="fixed", factor_set=fs, strategy="gmv",
+                                              benchmarks=("factor-wdlm",),
+                                              fee_reference="none")).rows[1]
+                for fs in ((0,), None))
+        assert a.name == b.name == "factor-wdlm"
+        assert a.gross.tobytes() == b.gross.tobytes()
+        assert a.turnover.tobytes() == b.turnover.tobytes()
+        assert (a.lpd, a.acc) == (b.lpd, b.acc)
+
+    def test_short_momentum_window_names_the_row_and_date(self):
+        panel = small_panel(seed=17, N=4, K=2, T=80, train=60)
+        cfg = RunConfig(ordering="fixed", train_len=40, benchmarks=("efm",), fee_reference="none")
+        with pytest.raises(WindowError, match=f"^efm, date {panel.dates[40]}: momentum needs 52"):
+            run_backtest(panel, cfg)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, report rendering."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -7,9 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from riskcast.cli import CONFIG_KEYS, _run_config, main, read_config
+from riskcast.benchmarks import PREDICTORS
+from riskcast.cli import CONFIG_KEYS, _build_parser, _run_config, main, read_config
 from riskcast.data import SyntheticSpec, generate_synthetic, save_panel
-from riskcast.engine import RunConfig
+from riskcast.engine import COMPARISON_MODELS, RunConfig
 from riskcast.errors import FormatError
 from riskcast.report import parse_table, read_results, render_table
 
@@ -41,6 +43,14 @@ class TestBacktestCommand:
         assert {r["tc_bps"] for r in records} == {0.0, 5.0}
         table = capsys.readouterr().out
         assert "TC = 5 bps" in table
+
+    def test_benchmark_choices_are_the_predictors_and_ew(self):
+        assert COMPARISON_MODELS == (*PREDICTORS, "ew")
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("backtest", "stats"):
+            action = next(a for a in sub.choices[command]._actions if a.dest == "benchmarks")
+            assert tuple(action.choices) == COMPARISON_MODELS
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["backtest", "--does-not-exist", "x"]) == 1

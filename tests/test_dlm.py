@@ -7,25 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from _oracles import batch_nig_posterior
 from riskcast import dlm
 from riskcast._batch import C0_STAR, N0
 from riskcast.errors import NumericError, ParameterError, ShapeError
-
-
-def batch_conjugate_regression(X, y, m0, C0, n0, s0):
-    """Independent oracle: closed-form Normal-Inverse-Gamma regression posterior.
-
-    Prior: theta | sig2 ~ N(m0, sig2 C0 / s0), sig^-2 ~ Gamma(n0/2, n0 s0 / 2).
-    Returns the posterior mapped back to (m, C, n, s) scaling.
-    """
-    V0 = C0 / s0
-    V0i = np.linalg.inv(V0)
-    VTi = V0i + X.T @ X
-    VT = np.linalg.inv(VTi)
-    mT = VT @ (V0i @ m0 + X.T @ y)
-    nT = n0 + len(y)
-    sT = (n0 * s0 + y @ y + m0 @ V0i @ m0 - mT @ VTi @ mT) / nT
-    return mT, VT * sT, nT, sT
 
 
 def run_filter(X, y, state, delta=1.0, kappa=1.0):
@@ -154,7 +139,7 @@ class TestUpdate:
             s0 = float(rng.uniform(0.1, 4))
             state = dlm.NGState(np.zeros(d), 100.0 * np.eye(d), n0, s0)
             final = run_filter(X, y, state)
-            m, C, n, s = batch_conjugate_regression(X, y, np.zeros(d), 100.0 * np.eye(d), n0, s0)
+            m, C, n, s = batch_nig_posterior(X, y, np.zeros(d), 100.0 * np.eye(d), n0, s0)
             np.testing.assert_allclose(final.m, m, atol=1e-10)
             np.testing.assert_allclose(final.C, C, atol=1e-10)
             assert final.n == pytest.approx(n, abs=1e-10)

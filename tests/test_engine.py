@@ -9,8 +9,8 @@ from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from riskcast import dlm, engine, portfolio as pf, recouple
-from riskcast._batch import (N0, PoolGroup, asset_covariance, batched_asset_moments,
-                             moment_offsets, recursive_factor_moments)
+from riskcast._batch import (N0, PoolGroup, _ols_residual_variance, asset_covariance,
+                             batched_asset_moments, moment_offsets, recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
                              run_statistics_only)
@@ -347,8 +347,8 @@ class TestBatchedKernelEquivalence:
         flt = _DynamicFactorFilter(panel, cfg)
         N = panel.n_assets
         parents = [[i for i in range(K) if (m >> i) & 1] for m in flt.masks]
-        ref = [PoolGroup(1 + len(p), N, cfg.delta_grid, cfg.kappa_r_grid, flt.s0_assets)
-               for p in parents]
+        s0 = _ols_residual_variance(panel.R[:30], flt.X[:30])
+        ref = [PoolGroup(1 + len(p), N, cfg.delta_grid, cfg.kappa_r_grid, s0) for p in parents]
         lp = flt.asset_log_probs.copy()
         for t in range(panel.T):
             selection = flt.select()
@@ -725,9 +725,10 @@ class TestEngineBehaviors:
         (dict(benchmarks=("ewma97", "wdml")), "unknown benchmark 'wdml'"),
         (dict(max_weight=0.0), "max_weight"),
         (dict(strategy="constrained", max_weight=-0.05), "max_weight"),
+        (dict(periods_per_year=0), "periods_per_year"),
     ])
     def test_bad_run_settings_rejected_before_filtering(self, settings, match):
         # a misspelt comparison model or a non-positive box used to surface
-        # only after the whole model run
+        # only after the whole model run; zero periods per year divided by zero
         with pytest.raises(ParameterError, match=match):
             RunConfig(**settings)

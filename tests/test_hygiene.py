@@ -6,6 +6,9 @@
 (b) Every ``RunConfig`` field is read somewhere in ``src/`` or ``bench/``
     outside its declaration, its validation and ``RunConfig.header``, so
     no field is a knob that nothing consults.
+(c) No module in ``src/riskcast`` but ``recouple`` imports ``dlm``, and none
+    imports ``recouple``, so the scalar reference oracles stay off the
+    engine's path.
 """
 
 import ast
@@ -80,3 +83,28 @@ def test_every_run_config_field_is_read():
               if path != PACKAGE / "engine.py"]
     read = config_reads(engine, skipped).union(*map(config_reads, others))
     assert fields and [f for f in fields if f not in read] == []
+
+
+def package_imports(tree):
+    """The ``riskcast`` modules a module imports, relatively or absolutely."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("riskcast.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "riskcast":
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+            if parts and parts[0]:
+                names.add(parts[0])
+            else:
+                names |= {a.name for a in node.names}
+    return names
+
+
+def test_scalar_oracles_stay_off_the_engine_path():
+    offenders = sorted(f"{path.name} imports {name}" for path in MODULES
+                       for name in package_imports(parse(path)) & {"dlm", "recouple"}
+                       if name == "recouple" or path.stem != "recouple")
+    assert offenders == []

@@ -1,6 +1,6 @@
 """Factor ordering enumeration, probabilities and moment mixing.
 
-The ordering probabilities run the engine's forget-then-Bayes recursion:
+The filter's set-up enumerates the orderings.  The ordering probabilities run the engine's forget-then-Bayes recursion:
 ``select`` forgets them with ``alpha_ord`` and ``update_step`` adds
 each ordering's joint factor density, both renormalized by
 ``_normalize_rows``.
@@ -15,9 +15,10 @@ from scipy.special import logsumexp
 from test_engine import small_panel
 
 from riskcast import dlm
+from riskcast._batch import mixture_factor_moments
 from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize_rows
 from riskcast.errors import CapacityError
-from riskcast.ordering import enumerate_orderings, mixture_factor_moments, to_canonical
+from riskcast.recouple import to_canonical
 
 
 def update_ordering_probs(log_probs, log_densities, alpha_ord):
@@ -28,6 +29,12 @@ def update_ordering_probs(log_probs, log_densities, alpha_ord):
 
 def factor_panel(K, seed=0):
     return small_panel(seed=seed, N=2, K=K, T=50, train=20)
+
+
+def enumerate_orderings(K):
+    """The orderings a learned-ordering filter over K factors sets up."""
+    flt = _DynamicFactorFilter(factor_panel(K=K), RunConfig(ordering="learn"))
+    return [tuple(perm) for perm in flt.perms.tolist()]
 
 
 class TestEnumerateOrderings:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from _oracles import fee_bisection
 from riskcast import portfolio as pf
 from riskcast.errors import (DegeneracyError, InfeasibleError, NumericError,
                              ParameterError, WindowError)
@@ -298,26 +299,6 @@ class TestPerformance:
         assert abs(stats.sd - np.sqrt(52) * sd) < 3 * np.sqrt(52) * sd / np.sqrt(2 * T)
 
 
-def fee_bisection_oracle(rc, rb, gamma, lo=-0.5, hi=0.5):
-    """Root of the average-utility equation by bisection, in per-period units."""
-    c = gamma / (2 * (1 + gamma))
-
-    def gap(phi):
-        lhs = np.sum((rc - phi) - c * (rc - phi) ** 2)
-        rhs = np.sum(rb - c * rb ** 2)
-        return lhs - rhs
-
-    glo, ghi = gap(lo), gap(hi)
-    assert glo * ghi <= 0, "oracle bracket failed"
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if gap(lo) * gap(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
-
-
 class TestManagementFee:
     def test_identical_series_fee_is_exactly_zero(self):
         rng = np.random.default_rng(7)
@@ -334,7 +315,7 @@ class TestManagementFee:
         rc = np.full(100, 0.002)
         rb = np.full(100, 0.001)
         phi = management_fee(rc, rb, 10.0) / 52 / 1e4
-        oracle = fee_bisection_oracle(rc, rb, 10.0)
+        oracle = fee_bisection(rc, rb, 10.0)
         assert phi == pytest.approx(oracle, abs=1e-12)
 
     def test_first_order_antisymmetry(self):

@@ -18,6 +18,7 @@ from scipy.special import logsumexp
 from test_engine import small_panel
 
 from riskcast import dlm
+from riskcast._batch import _ols_residual_variance
 from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize_rows
 from riskcast.errors import ParameterError
 
@@ -148,7 +149,8 @@ class TestUpdateProbs:
                                                     delta_grid=(0.95, 1.0),
                                                     kappa_r_grid=(0.99, 1.0)))
         specs = [(d, k) for d in (0.95, 1.0) for k in (0.99, 1.0)]
-        states = [dlm.init_state(2, float(flt.s0_assets[0])) for _ in specs]
+        s0 = float(_ols_residual_variance(panel.R[:20], flt.X[:20])[0])
+        states = [dlm.init_state(2, s0) for _ in specs]
         cum = np.zeros(len(specs))
         for t in range(panel.T):
             flt.update_step(t, flt.select())
@@ -254,7 +256,8 @@ class TestProperties:
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", alpha=alpha,
                                                     delta_grid=(0.95, 1.0),
                                                     kappa_r_grid=(1.0,)))
-        states = [dlm.init_state(2, float(flt.s0_assets[0])) for _ in range(2)]
+        s0 = float(_ols_residual_variance(panel.R[:20], flt.X[:20])[0])
+        states = [dlm.init_state(2, s0) for _ in range(2)]
         diffs = []
         for t in range(panel.T):
             flt.update_step(t, flt.select())
