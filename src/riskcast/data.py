@@ -228,9 +228,3 @@ def save_truth(truth: SyntheticTruth, path) -> None:
     """Serialize a truth record to an .npz sidecar for test harnesses."""
     np.savez(path, loadings=truth.loadings, intercepts=truth.intercepts,
              factor_cov=truth.factor_cov, idio_var=truth.idio_var, factors=truth.factors)
-
-
-def load_truth(path) -> SyntheticTruth:
-    with np.load(path) as z:
-        return SyntheticTruth(z["loadings"], z["intercepts"], z["factor_cov"],
-                              z["idio_var"], z["factors"])

@@ -14,6 +14,11 @@ forget-then-Bayes recursion of the model probabilities.  Factor moments are
 averaged over orderings, not selected: the mixture's E[x x'], x = (1, factors),
 is the probability-weighted average of each ordering's (law of total variance).
 
+The filter keeps three tables of log model probabilities, forgotten in place by
+``select`` (so it runs once per date) and Bayes-updated in place by ``update_step``:
+``asset_log_probs`` (masks x P, N), a row per spec (parent mask, delta, kappa) and
+a column per asset; ``factor_log_probs`` (equations, P_f); ``ordering_log_probs``.
+
 One scoring loop turns the (mean, covariance) that each comparison row's
 predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
 Gaussian LPD; "ew" is the only comparison model the engine names.
@@ -130,6 +135,8 @@ class RunConfig:
             raise ParameterError("threads must be >= 1")
         if self.periods_per_year < 1:
             raise ParameterError("periods_per_year must be >= 1")
+        if self.factor_set is not None and len(set(self.factor_set)) < len(self.factor_set):
+            raise ParameterError(f"factor_set {tuple(self.factor_set)} names a factor twice")
 
     @property
     def tau_periodic(self) -> float:
@@ -170,12 +177,12 @@ class StatsResult:
 
     lpd: float
     acc: float
-    lpd_series: np.ndarray          # (T_eval,)
-    asset_mean: np.ndarray          # (T_eval, N)
-    inclusion: np.ndarray           # (T_eval, N, K)
-    ordering_log_probs: np.ndarray  # (T_eval, n_orderings)
-    factor_mean: np.ndarray         # (T_eval, K)
-    factor_cov: np.ndarray          # (T_eval, K, K)
+    lpd_series: np.ndarray                  # (T_eval,)
+    asset_mean: np.ndarray                  # (T_eval, N)
+    inclusion: np.ndarray | None            # (T_eval, N, K)
+    ordering_log_probs: np.ndarray | None   # (T_eval, n_orderings)
+    factor_mean: np.ndarray | None          # (T_eval, K)
+    factor_cov: np.ndarray | None           # (T_eval, K, K)
     orderings: list[tuple[int, ...]]
     dates: tuple[str, ...]
     factors: tuple[str, ...]
@@ -196,8 +203,9 @@ def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     return out if keepdims else np.squeeze(out, axis=axis)[()]
 
 
-def _normalize_rows(lp: np.ndarray) -> np.ndarray:
-    return lp - logsumexp(lp, axis=-1, keepdims=True)
+def _normalize(lp: np.ndarray, axis: int) -> None:
+    """Renormalize log probabilities over ``axis``, in place."""
+    lp -= logsumexp(lp, axis=axis, keepdims=True)
 
 
 class _DynamicFactorFilter:
@@ -248,7 +256,7 @@ class _DynamicFactorFilter:
         self.asset_groups, self.asset_eqs = self._pools(
             self.masks[mi], 1 + K + j, config.kappa_r_grid, lambda rec: s0[rec[:, -1] - 1 - K])
         n_specs = len(self.masks) * self.P_r
-        self._asset_lp = np.full((n_specs, N), -np.log(n_specs))
+        self.asset_log_probs = np.full((n_specs, N), -np.log(n_specs))
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
                                       axis=0).astype(float)
         self._dens_a = np.empty((n_specs, N))      # densities, by pool as (masks, specs, N)
@@ -307,54 +315,50 @@ class _DynamicFactorFilter:
             return [fn(x) for x in items]
         return list(self._executor.map(fn, items))
 
-    @property
-    def asset_log_probs(self) -> np.ndarray:
-        """(N, masks x P) view of the stored rows: mask, then delta, then kappa."""
-        return self._asset_lp.T
-
-    @asset_log_probs.setter
-    def asset_log_probs(self, value) -> None:
-        self._asset_lp = np.ascontiguousarray(np.asarray(value, float).T)
-
     # ---- one step ----------------------------------------------------------
 
     def select(self):
-        """Evolve, then pick specs on the forgotten probabilities (unnormalized: argmax
-        ignores the row constant).  Record: asset specs (columns of ``asset_log_probs``),
-        factor specs, forgotten ordering (normalized), asset (rows) and factor log probs."""
+        """Evolve, forget the filter's three tables in place (so once per date), and
+        pick the specs of highest forgotten probability: (row of the (masks x P, N)
+        asset table per asset, column of the (equations, P_f) factor table per
+        equation).  Only the orderings, ``recouple``'s mixture weights, are
+        renormalized; argmax ignores a constant."""
         cfg = self.config
         self._map(lambda pool: pool[0].evolve(), self.pools)
-        lp_pred_f = cfg.alpha * self.factor_log_probs
-        sel_f = np.argmax(lp_pred_f, axis=1)
-        lp_ord_pred = _normalize_rows(cfg.alpha_ord * self.ordering_log_probs)
-        lp_pred_assets = cfg.alpha * self._asset_lp
-        sel_assets = np.argmax(lp_pred_assets, axis=0)
+        self.factor_log_probs *= cfg.alpha
+        sel_f = np.argmax(self.factor_log_probs, axis=1)
+        self.ordering_log_probs *= cfg.alpha_ord
+        _normalize(self.ordering_log_probs, axis=-1)
+        self.asset_log_probs *= cfg.alpha
+        sel_assets = np.argmax(self.asset_log_probs, axis=0)
         # the pools of a block share r = kappa n
         for block, grp, p_idx in (("factor", self.factor_groups[0], sel_f),
                                   ("asset", self.asset_groups[0], sel_assets % self.P_r)):
             if np.any(grp.r[p_idx] <= DOF_FLOOR):
                 warnings.warn(f"{block} equation degrees of freedom at the floor", RuntimeWarning)
-        return sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f
+        return sel_assets, sel_f
 
     def recouple(self, selection):
-        """Predictive (asset mean, B, idio, factor mean, factor cov) of a selection."""
-        sel_assets, sel_f, lp_ord_pred = selection[:3]
+        """Predictive (asset mean, B, idio, factor mean, factor cov) of a selection,
+        mixed over the ``ordering_log_probs`` that ``select`` left; writes no state."""
+        sel_assets, sel_f = selection
         a_sel, R_sel, r_sel, s_sel = zip(*(
             grp.selected(eq - st, sel_f[eq])
             for grp, eq, st in zip(self.factor_groups, self.factor_eq, self.factor_start)))
         S = recursive_factor_moments(self.factor_offsets, a_sel, R_sel, r_sel, s_sel)
-        lam, sig = mixture_factor_moments(lp_ord_pred, S)
+        lam, sig = mixture_factor_moments(self.ordering_log_probs, S)
         mask_idx, p_idx = np.divmod(sel_assets, self.P_r)
         mean, B, idio = batched_asset_moments(self.asset_groups, self.asset_eqs,
                                               mask_idx * self.N + np.arange(self.N), p_idx, lam, sig)
         return mean, B, idio, lam, sig
 
     def update_step(self, t: int, selection) -> float:
-        """Observe date t, update probabilities and states everywhere.
-
-        Returns the asset-block log predictive density of the selected models.
-        """
-        sel_assets, sel_f, lp_ord_pred, lp_pred_assets, lp_pred_f = selection
+        """Observe date t, update the states, and add the date's log densities to
+        the three tables that ``select`` forgot, each renormalized in place over
+        its specs: axis 0 of the assets' (masks x P, N), axis 1 of the factors'
+        (equations, P_f), and the orderings.  Returns the asset-block log
+        predictive density of the selected models."""
+        sel_assets, sel_f = selection
         z = np.concatenate((self.X[t], self.R[t]))
 
         def advance(pool):
@@ -368,38 +372,40 @@ class _DynamicFactorFilter:
         n_a = len(self.asset_groups)
         dens_f = np.concatenate(dens[n_a:])
         joint = dens_f[self.factor_eq, sel_f[self.factor_eq]].sum(axis=0)
-        self.factor_log_probs = _normalize_rows(lp_pred_f + dens_f)
-        self.ordering_log_probs = _normalize_rows(lp_ord_pred + joint)
+        self.factor_log_probs += dens_f
+        _normalize(self.factor_log_probs, axis=-1)
+        self.ordering_log_probs += joint
+        _normalize(self.ordering_log_probs, axis=-1)
 
         # a pool's densities (masks x N, P) fill its rows (masks x P, N)
         for block, d in zip(self._dens_blocks, dens[:n_a]):
             block[...] = d.T.reshape(self.P_r, -1, self.N).transpose(1, 0, 2)
-        lp_pred_assets += self._dens_a      # the record's array becomes the posterior
-        lp_pred_assets -= logsumexp(lp_pred_assets, axis=0, keepdims=True)
-        self._asset_lp = lp_pred_assets
+        self.asset_log_probs += self._dens_a
+        _normalize(self.asset_log_probs, axis=0)
         return float(self._dens_a[sel_assets, np.arange(self.N)].sum())
 
     def inclusion(self) -> np.ndarray:
         """Posterior inclusion probability of each factor in each asset's
         parent set, (N, K)."""
-        return (self.include_mask.T @ np.exp(self._asset_lp)).T
+        return (self.include_mask.T @ np.exp(self.asset_log_probs)).T
 
 
 def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
-    """Drive the filter over all dates; return diagnostics and optional weights."""
+    """Drive the filter over all dates.  A backtest (``collect_weights``) also gets
+    weights, but no inclusion, ordering or factor-moment series (left None)."""
     flt = _DynamicFactorFilter(panel, config)
     try:
         train = flt.train_len
         T_eval = panel.T - train
         N, K = flt.N, flt.K
-        lpd_series = np.zeros(T_eval)
-        asset_mean = np.zeros((T_eval, N))
-        inclusion = np.zeros((T_eval, N, K))
-        ord_lp = np.zeros((T_eval, flt.n_ord))
-        fac_mean = np.zeros((T_eval, K))
-        fac_cov = np.zeros((T_eval, K, K))
-        weights = np.zeros((T_eval, N)) if collect_weights else None
-        cov, work = (np.empty((N, N)), np.empty((N, N))) if collect_weights else (None, None)
+        lpd_series, asset_mean = np.zeros(T_eval), np.zeros((T_eval, N))
+        if collect_weights:
+            weights, cov, work = np.zeros((T_eval, N)), np.empty((N, N)), np.empty((N, N))
+            inclusion = ord_lp = fac_mean = fac_cov = None
+        else:
+            weights = None
+            inclusion, ord_lp = np.zeros((T_eval, N, K)), np.zeros((T_eval, flt.n_ord))
+            fac_mean, fac_cov = np.zeros((T_eval, K)), np.zeros((T_eval, K, K))
         momentum = config.mean_signal == "momentum" and config.strategy != "gmv"
 
         for t in range(panel.T):
@@ -408,7 +414,7 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                 selection = flt.select()
                 if i >= 0:
                     mean, B, idio, lam, sig = flt.recouple(selection)
-                    asset_mean[i], fac_mean[i], fac_cov[i] = mean, lam, sig
+                    asset_mean[i] = mean
                     if collect_weights:
                         asset_covariance(B, sig, idio, out=cov, work=work)
                         mu = pf.momentum_signal(flt.R, t) if momentum else mean
@@ -416,28 +422,21 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                                                     weights[i - 1] if i > 0 else None).w
                 lpd_t = flt.update_step(t, selection)
                 if i >= 0:
-                    lpd_series[i], ord_lp[i] = lpd_t, flt.ordering_log_probs
-                    inclusion[i] = flt.inclusion()
+                    lpd_series[i] = lpd_t
+                    if not collect_weights:
+                        fac_mean[i], fac_cov[i], ord_lp[i] = lam, sig, flt.ordering_log_probs
+                        inclusion[i] = flt.inclusion()
             except RiskcastError as exc:
                 raise type(exc)(f"date {panel.dates[t]}: {exc}") from exc
     finally:
         flt.close()
 
-    realized = flt.R[train:]
-    stats = StatsResult(
-        lpd=float(lpd_series.sum()),
-        acc=pf.hit_rate(asset_mean, realized),
-        lpd_series=lpd_series,
-        asset_mean=asset_mean,
-        inclusion=inclusion,
-        ordering_log_probs=ord_lp,
-        factor_mean=fac_mean,
-        factor_cov=fac_cov,
-        orderings=[tuple(p) for p in flt.perms],
-        dates=panel.dates[train:],
-        factors=flt.factor_names,
-    )
-    return stats, weights, train
+    return StatsResult(
+        lpd=float(lpd_series.sum()), acc=pf.hit_rate(asset_mean, flt.R[train:]),
+        lpd_series=lpd_series, asset_mean=asset_mean, inclusion=inclusion,
+        ordering_log_probs=ord_lp, factor_mean=fac_mean, factor_cov=fac_cov,
+        orderings=[tuple(p) for p in flt.perms.tolist()], dates=panel.dates[train:],
+        factors=flt.factor_names), weights, train
 
 
 def _solve_weights(config: RunConfig, mean: np.ndarray, cov: np.ndarray,

@@ -1,6 +1,8 @@
-"""Independent closed-form oracles shared by the test modules."""
+"""Independent closed-form oracles and test-only readers shared by the test modules."""
 
 import numpy as np
+
+from riskcast.data import SyntheticTruth
 
 
 def batch_nig_posterior(X, y, m0, C0, n0, s0):
@@ -33,3 +35,51 @@ def fee_bisection(rc, rb, gamma, lo=-0.5, hi=0.5):
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def parse_table(text: str) -> list[dict]:
+    """Inverse of render_table on its own output (used for round-trip checks)."""
+    records: list[dict] = []
+    tc = None
+    gammas: list[str] = []
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        ln = lines[i].strip()
+        if ln.startswith("TC ="):
+            tc = float(ln.split("=")[1].split()[0])
+            header_cells = lines[i + 1].split()
+            gammas = [c[len("Phi(g="):-1] for c in header_cells if c.startswith("Phi(g=")]
+            i += 3
+            continue
+        if not ln or ln.startswith("#"):
+            i += 1
+            continue
+        cells = ln.split()
+        base = 5
+        n_fee = len(gammas)
+        rec = {
+            "model": cells[0],
+            "tc_bps": tc,
+            "turnover": float(cells[1]),
+            "mean": float(cells[2]) / 100.0,
+            "sd": float(cells[3]) / 100.0,
+            "sharpe": float(cells[4]),
+            "phi_bps": {},
+        }
+        for k, g in enumerate(gammas):
+            if base + k < len(cells) and cells[base + k]:
+                rec["phi_bps"][g] = float(cells[base + k])
+        rest = cells[base + n_fee:]
+        rec["lpd"] = float(rest[0]) if len(rest) > 0 else None
+        rec["acc"] = float(rest[1]) if len(rest) > 1 else None
+        records.append(rec)
+        i += 1
+    return records
+
+
+def load_truth(path) -> SyntheticTruth:
+    """Read a truth record written by ``data.save_truth``."""
+    with np.load(path) as z:
+        return SyntheticTruth(z["loadings"], z["intercepts"], z["factor_cov"],
+                              z["idio_var"], z["factors"])

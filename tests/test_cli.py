@@ -8,12 +8,14 @@ import os
 import numpy as np
 import pytest
 
+from _oracles import parse_table
+
 from riskcast.benchmarks import PREDICTORS
 from riskcast.cli import CONFIG_KEYS, _build_parser, _run_config, main, read_config
 from riskcast.data import SyntheticSpec, generate_synthetic, save_panel
 from riskcast.engine import COMPARISON_MODELS, RunConfig
 from riskcast.errors import FormatError
-from riskcast.report import parse_table, read_results, render_table
+from riskcast.report import read_results, render_table
 
 
 @pytest.fixture

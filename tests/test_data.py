@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from riskcast.data import (ReturnPanel, SyntheticSpec, generate_synthetic, load_panel,
-                           load_truth, save_panel, save_truth)
+from _oracles import load_truth
+
+from riskcast.data import (ReturnPanel, SyntheticSpec, generate_synthetic, load_panel, save_panel,
+                           save_truth)
 from riskcast.errors import (AlignmentError, FormatError, IntegrityError,
                              ParameterError)
 

@@ -1,5 +1,6 @@
 """Engine orchestration: oracle compositions, determinism, timing discipline."""
 
+import json
 import warnings
 from types import SimpleNamespace
 
@@ -349,7 +350,7 @@ class TestBatchedKernelEquivalence:
         parents = [[i for i in range(K) if (m >> i) & 1] for m in flt.masks]
         s0 = _ols_residual_variance(panel.R[:30], flt.X[:30])
         ref = [PoolGroup(1 + len(p), N, cfg.delta_grid, cfg.kappa_r_grid, s0) for p in parents]
-        lp = flt.asset_log_probs.copy()
+        lp = flt.asset_log_probs.T.copy()
         for t in range(panel.T):
             selection = flt.select()
             mean, B, idio, lam, sig = flt.recouple(selection)
@@ -374,7 +375,7 @@ class TestBatchedKernelEquivalence:
                 grp.update()
             lp = cfg.alpha * lp + np.concatenate(dens, axis=1)
             lp -= scipy_logsumexp(lp, axis=1, keepdims=True)
-            np.testing.assert_allclose(flt.asset_log_probs, lp, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(flt.asset_log_probs.T, lp, rtol=0, atol=1e-12)
         flt.close()
 
 
@@ -468,7 +469,7 @@ class TestComposedOracle:
                     cum[j, mi] += dlm.log_predictive_density(fc, float(panel.R[t, j]))
                     states[j, mi] = dlm.update(prior, Freg, float(panel.R[t, j]))
             expected = cum - scipy_logsumexp(cum, axis=1, keepdims=True)
-            np.testing.assert_allclose(flt.asset_log_probs, expected, atol=1e-8)
+            np.testing.assert_allclose(flt.asset_log_probs.T, expected, atol=1e-8)
         flt.close()
 
 
@@ -557,22 +558,23 @@ class TestEngineInvariants:
         eager.close()
 
     def test_asset_log_probs_round_trip(self):
-        # stored as (masks x P, N) rows, shown as (N, masks x P) columns:
-        # mask in flt.masks order, then delta, then kappa
+        # stored as (masks x P, N): a row per spec (mask in flt.masks order,
+        # then delta, then kappa) and a column per asset; select forgets the
+        # stored table in place
         panel = small_panel(seed=26, N=4, K=3, T=30, train=20)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed"))
         for t in range(5):
             flt.update_step(t, flt.select())
             lp = flt.asset_log_probs
-            assert lp.shape == (4, len(flt.masks) * flt.P_r)
-            np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        new = engine._normalize_rows(np.random.default_rng(27).normal(size=lp.shape))
-        flt.asset_log_probs = new
+            assert lp.shape == (len(flt.masks) * flt.P_r, 4)
+            np.testing.assert_allclose(np.exp(lp).sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        new = np.random.default_rng(27).normal(size=lp.shape)
+        engine._normalize(new, axis=0)
+        flt.asset_log_probs = new.copy()
         assert np.array_equal(flt.asset_log_probs, new)
-        sel_assets, *_ = flt.select()
-        np.testing.assert_array_equal(sel_assets, np.argmax(flt.config.alpha * new, axis=1))
-        new[0, 0] = 0.0     # the setter took a copy
-        assert flt.asset_log_probs[0, 0] != 0.0
+        sel_assets, _ = flt.select()
+        np.testing.assert_array_equal(sel_assets, np.argmax(flt.config.alpha * new, axis=0))
+        assert np.array_equal(flt.asset_log_probs, flt.config.alpha * new)
         flt.close()
 
     def test_stats_match_backtest_lpd(self):
@@ -582,6 +584,18 @@ class TestEngineInvariants:
         stats = run_statistics_only(panel, cfg)
         assert report.rows[0].lpd == pytest.approx(stats.lpd, abs=1e-12)
         assert report.rows[0].acc == pytest.approx(stats.acc, abs=1e-12)
+        # the orderings hold plain ints, so they serialize
+        assert stats.orderings == [(0, 1), (1, 0)]
+        assert json.loads(json.dumps(stats.orderings)) == [[0, 1], [1, 0]]
+
+    def test_backtest_computes_no_statistics_diagnostics(self, monkeypatch):
+        # run_backtest reads the LPD, hit rate, dates and factors only
+        def fail(self):
+            raise AssertionError("inclusion computed in a backtest")
+
+        monkeypatch.setattr(_DynamicFactorFilter, "inclusion", fail)
+        report = run_backtest(small_panel(seed=9), RunConfig(strategy="gmv"))
+        assert np.isfinite(report.rows[0].lpd)
 
     def test_error_carries_date_context(self):
         panel = small_panel(seed=10, N=3, K=2, T=70, train=30)
@@ -726,9 +740,11 @@ class TestEngineBehaviors:
         (dict(max_weight=0.0), "max_weight"),
         (dict(strategy="constrained", max_weight=-0.05), "max_weight"),
         (dict(periods_per_year=0), "periods_per_year"),
+        (dict(factor_set=(0, 0)), "factor_set"),
     ])
     def test_bad_run_settings_rejected_before_filtering(self, settings, match):
         # a misspelt comparison model or a non-positive box used to surface
-        # only after the whole model run; zero periods per year divided by zero
+        # only after the whole model run; zero periods per year divided by zero;
+        # a factor named twice was used as two factors
         with pytest.raises(ParameterError, match=match):
             RunConfig(**settings)

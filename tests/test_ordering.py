@@ -1,9 +1,11 @@
 """Factor ordering enumeration, probabilities and moment mixing.
 
-The filter's set-up enumerates the orderings.  The ordering probabilities run the engine's forget-then-Bayes recursion:
-``select`` forgets them with ``alpha_ord`` and ``update_step`` adds
-each ordering's joint factor density, both renormalized by
-``_normalize_rows``.
+The filter's set-up enumerates the orderings.  The ordering probabilities run
+the engine's forget-then-Bayes recursion on the filter's ``ordering_log_probs``,
+in place: ``select`` forgets them with ``alpha_ord`` and renormalizes, so
+``recouple`` reads them there as the mixture weights, and ``update_step`` adds
+each ordering's joint factor density and renormalizes, both with
+``_normalize``.
 """
 
 import itertools
@@ -16,15 +18,18 @@ from test_engine import small_panel
 
 from riskcast import dlm
 from riskcast._batch import mixture_factor_moments
-from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize_rows
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize
 from riskcast.errors import CapacityError
 from riskcast.recouple import to_canonical
 
 
 def update_ordering_probs(log_probs, log_densities, alpha_ord):
     """The engine's two steps on given ordering densities: forget, then Bayes."""
-    return _normalize_rows(_normalize_rows(alpha_ord * np.asarray(log_probs, float))
-                           + log_densities)
+    lp = alpha_ord * np.asarray(log_probs, float)
+    _normalize(lp, -1)
+    lp += log_densities
+    _normalize(lp, -1)
+    return lp
 
 
 def factor_panel(K, seed=0):
@@ -123,7 +128,7 @@ class TestUpdateOrderingProbs:
                 covs.append(cov_o)
                 flt.update_step(t, sel_o)
             # law of total mean and variance over the forgotten ordering probabilities
-            p = np.exp(selection[2])
+            p = np.exp(learned.ordering_log_probs)
             lam_mix = p @ np.array(means)
             dev = np.array(means) - lam_mix
             sig_mix = (np.einsum("o,oij->ij", p, np.array(covs))
@@ -221,5 +226,6 @@ class TestCanonicalMapping:
 
     def test_forget_uniform_fixed_point(self):
         flt = _DynamicFactorFilter(factor_panel(K=3), RunConfig(ordering="learn", alpha_ord=0.9))
-        lp_ord_pred = flt.select()[2]
+        flt.select()
+        lp_ord_pred = flt.ordering_log_probs
         np.testing.assert_allclose(lp_ord_pred, np.full(6, -np.log(6)), atol=1e-14)

@@ -1,12 +1,12 @@
 """Model spaces and dynamic model probabilities, as the engine runs them.
 
-Every pool forgets its log probabilities (times alpha) in ``select``
-and Bayes-updates them with the kernel's one-step predictive densities in
-``update_step``, which renormalizes with ``_normalize_rows``; the forgotten
-probabilities are left unnormalized, since the update removes any row
-constant.  The tests drive ``_DynamicFactorFilter`` where the densities can
-come from the filters themselves, and ``_normalize_rows`` where they are
-given.
+The filter stores the asset table ``asset_log_probs`` as (masks x P, N), a
+row per spec and a column per asset, and the factor table as (equations, P).
+``select`` forgets both in place (times alpha), leaving them unnormalized,
+since the update removes any constant; ``update_step`` adds the kernel's
+one-step predictive densities and renormalizes each table in place with
+``_normalize``.  The tests drive ``_DynamicFactorFilter`` where the densities
+can come from the filters themselves, and ``_normalize`` where they are given.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from test_engine import small_panel
 
 from riskcast import dlm
 from riskcast._batch import _ols_residual_variance
-from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize_rows
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize
 from riskcast.errors import ParameterError
 
 
@@ -31,17 +31,26 @@ def make_filter(K=2, N=2, **config):
     return _DynamicFactorFilter(panel_with(K, N), RunConfig(ordering="fixed", **config))
 
 
+def normalized(log_probs, axis):
+    """A normalized copy of log probabilities over ``axis``."""
+    lp = np.array(log_probs, float)
+    _normalize(lp, axis)
+    return lp
+
+
 def forget(flt, log_probs):
-    """The engine's forgetting step on given asset log probabilities:
-    (predicted log probabilities, normalized, selected spec per asset)."""
-    flt.asset_log_probs = np.asarray(log_probs, float)
-    sel_assets, _, _, lp_pred, _ = flt.select()
-    return _normalize_rows(lp_pred.T), sel_assets
+    """The engine's forgetting step on given asset log probabilities, in the
+    stored (specs, N) layout: (forgotten log probabilities, normalized over
+    the specs, selected spec per asset)."""
+    flt.asset_log_probs = np.array(log_probs, float)
+    sel_assets, _ = flt.select()
+    return normalized(flt.asset_log_probs, 0), sel_assets
 
 
 def update(predicted, log_densities):
-    """The engine's Bayes step on given predicted probabilities and densities."""
-    return _normalize_rows(np.asarray(predicted, float) + np.asarray(log_densities, float))
+    """The engine's Bayes step on given predicted probabilities and densities,
+    over the last axis, as in the factor table."""
+    return normalized(np.asarray(predicted, float) + np.asarray(log_densities, float), -1)
 
 
 def spec_masks(flt):
@@ -53,13 +62,13 @@ class TestBuildPool:
     def test_asset_space_size(self):
         # (2^K - 1) parent masks x |delta| x |kappa_r|
         flt = make_filter(K=5, delta_grid=(0.95, 0.975, 1.0), kappa_r_grid=(0.99, 0.995, 1.0))
-        assert flt.asset_log_probs.shape == (2, 31 * 9) == (2, 279)
+        assert flt.asset_log_probs.shape == (31 * 9, 2) == (279, 2)
         assert all(m != 0 for m in flt.masks)
-        np.testing.assert_allclose(logsumexp(flt.asset_log_probs, axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(logsumexp(flt.asset_log_probs, axis=0), 0.0, atol=1e-12)
 
     def test_singleton_space(self):
         flt = make_filter(K=1, delta_grid=(1.0,), kappa_r_grid=(1.0,))
-        assert flt.asset_log_probs.shape == (2, 1)
+        assert flt.asset_log_probs.shape == (1, 2)
         np.testing.assert_allclose(np.exp(flt.asset_log_probs), 1.0)
 
     def test_factor_equation_space(self):
@@ -111,13 +120,13 @@ class TestBuildPool:
 class TestPredictProbs:
     def test_no_forgetting_is_identity(self):
         flt = make_filter(alpha=1.0)
-        lp = _normalize_rows(np.random.default_rng(0).normal(size=flt.asset_log_probs.shape))
+        lp = normalized(np.random.default_rng(0).normal(size=flt.asset_log_probs.shape), 0)
         np.testing.assert_allclose(forget(flt, lp)[0], lp, atol=1e-14)
 
     def test_uniform_is_fixed_point(self):
         flt = make_filter(alpha=0.9)
-        n = flt.asset_log_probs.shape[1]
-        lp_pred, _ = forget(flt, np.full((2, n), -np.log(n)))
+        n = flt.asset_log_probs.shape[0]
+        lp_pred, _ = forget(flt, np.full((n, 2), -np.log(n)))
         np.testing.assert_allclose(np.exp(lp_pred), 1.0 / n, atol=1e-14)
 
     def test_forgetting_formula(self):
@@ -125,10 +134,10 @@ class TestPredictProbs:
         flt = make_filter(alpha=0.99)
         rng = np.random.default_rng(1)
         p = rng.uniform(0.1, 1.0, size=flt.asset_log_probs.shape)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= p.sum(axis=0, keepdims=True)
         raw = p ** 0.99
         lp_pred, _ = forget(flt, np.log(p))
-        np.testing.assert_allclose(np.exp(lp_pred), raw / raw.sum(axis=1, keepdims=True),
+        np.testing.assert_allclose(np.exp(lp_pred), raw / raw.sum(axis=0, keepdims=True),
                                    atol=1e-12)
 
 
@@ -160,32 +169,32 @@ class TestUpdateProbs:
                 prior = dlm.evolve(states[i], d, k)
                 cum[i] += dlm.log_predictive_density(dlm.forecast(prior, F), y)
                 states[i] = dlm.update(prior, F, y)
-        np.testing.assert_allclose(flt.asset_log_probs[0], cum - logsumexp(cum), atol=1e-8)
+        np.testing.assert_allclose(flt.asset_log_probs[:, 0], cum - logsumexp(cum), atol=1e-8)
 
 
 class TestSelectBest:
     def test_argmax(self):
         flt = make_filter(K=1, N=1, delta_grid=(0.95, 1.0), kappa_r_grid=(0.99, 1.0))
-        _, sel = forget(flt, np.log([[0.2, 0.4, 0.3, 0.1]]))
+        _, sel = forget(flt, np.log([[0.2], [0.4], [0.3], [0.1]]))
         assert sel[0] == 1
 
     def test_tie_breaks_low_index(self):
         flt = make_filter()
-        n = flt.asset_log_probs.shape[1]
-        lp = np.full((2, n), -np.log(n))
+        n = flt.asset_log_probs.shape[0]
+        lp = np.full((n, 2), -np.log(n))
         _, sel = forget(flt, lp)
         np.testing.assert_array_equal(sel, 0)
-        lp[1] = np.log(np.r_[0.001, np.full(n - 1, 0.999 / (n - 1))])
+        lp[:, 1] = np.log(np.r_[0.001, np.full(n - 1, 0.999 / (n - 1))])
         _, sel = forget(flt, lp)
         assert sel[1] == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         flt = make_filter(K=1, N=1, delta_grid=(0.95, 1.0), kappa_r_grid=(0.99, 1.0))
-        w = rng.uniform(0.1, 1.0, size=(1, 4))
-        base = forget(flt, _normalize_rows(np.log(w)))[1]
+        w = rng.uniform(0.1, 1.0, size=(4, 1))
+        base = forget(flt, normalized(np.log(w), 0))[1]
         for c in (1e-7, 3.0, 1e9):
-            assert forget(flt, _normalize_rows(np.log(c * w)))[1] == base
+            assert forget(flt, normalized(np.log(c * w), 0))[1] == base
 
 
 class TestInclusionProbability:
@@ -215,8 +224,8 @@ class TestInclusionProbability:
         masks = spec_masks(flt)
         for k in range(3):
             holds = (masks >> k) & 1 == 1
-            np.testing.assert_allclose(inclusion[:, k], p[:, holds].sum(axis=1), atol=1e-12)
-            np.testing.assert_allclose(inclusion[:, k] + p[:, ~holds].sum(axis=1), 1.0,
+            np.testing.assert_allclose(inclusion[:, k], p[holds].sum(axis=0), atol=1e-12)
+            np.testing.assert_allclose(inclusion[:, k] + p[~holds].sum(axis=0), 1.0,
                                        atol=1e-12)
 
     def test_out_of_range(self):
@@ -229,7 +238,7 @@ class TestInclusionProbability:
         for flt in (base, shifted):
             flt.update_step(0, flt.select())
         holds = (spec_masks(shifted) & 1) == 1
-        shifted.asset_log_probs = _normalize_rows(shifted.asset_log_probs + holds)
+        shifted.asset_log_probs = normalized(shifted.asset_log_probs + holds[:, None], 0)
         for flt in (base, shifted):
             flt.update_step(1, flt.select())
         after = [flt.inclusion()[0, 0] for flt in (base, shifted)]
@@ -241,8 +250,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_normalization_preserved(self, m, alpha, seed):
         rng = np.random.default_rng(seed)
-        lp = _normalize_rows(rng.normal(size=(3, m)))
-        lp = _normalize_rows(alpha * lp)
+        lp = normalized(rng.normal(size=(3, m)), -1)
+        lp = normalized(alpha * lp, -1)
         np.testing.assert_array_less(np.abs(logsumexp(lp, axis=1)), 1e-10)
         lp = update(lp, rng.normal(size=(3, m)))
         np.testing.assert_array_less(np.abs(logsumexp(lp, axis=1)), 1e-10)
@@ -270,5 +279,5 @@ class TestProperties:
                 states[i] = dlm.update(prior, F, y)
             diffs.append(dens[0] - dens[1])
             expected = sum(alpha ** l * diffs[-1 - l] for l in range(len(diffs)))
-            lp = flt.asset_log_probs[0]
+            lp = flt.asset_log_probs[:, 0]
             assert lp[0] - lp[1] == pytest.approx(expected, abs=1e-8)
