@@ -32,8 +32,9 @@ for the factors and gives each asset's mean and idiosyncratic variance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, ShapeError
 
@@ -120,7 +121,9 @@ class PoolGroup:
     def evolve(self) -> None:
         self.r = self._kappa * self.n
         self._r = r = self.r.reshape(self._r_shape)
-        self._lt = gammaln((r + 1.0) / 2.0) - gammaln(r / 2.0) - 0.5 * np.log(r * np.pi)
+        # P values, so math.lgamma serves, and scipy.special need not load
+        lg = np.array([math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) for x in self.r.tolist()])
+        self._lt = lg.reshape(self._r_shape) - 0.5 * np.log(r * np.pi)
         self.s_prev = self._s
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +259,25 @@ def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
     return yX[:, 0], a_x[:, 1:], idio
 
 
-def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray, out=None, work=None):
-    """B sig B' + diag(idio), symmetrized; into (N, N) buffers ``out`` and ``work`` if given."""
-    work = np.matmul(B @ sig, B.T, out=work)
-    work.flat[::idio.size + 1] += idio
-    out = np.add(work, work.T, out=out)
-    return np.divide(out, 2.0, out=out)
+def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray, out=None):
+    """B sig B' + diag(idio), into the (N, N) buffer ``out`` if given.
+
+    It is written as G G' + diag(idio) with G = B S and S S' = sig: numpy
+    computes a product with its own transpose by a symmetric rank-K update
+    (BLAS syrk) and mirrors one triangle, so the result is exactly symmetric.
+    S is the Cholesky factor of sig, or for a singular sig, such as the one
+    ``efm_cov`` gives for a zero-variance factor, V sqrt(lam) from its
+    eigendecomposition, with rounding's negative eigenvalues set to zero.
+    """
+    try:
+        S = np.linalg.cholesky(sig)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(sig)
+        if lam[0] < -1e-12 * lam[-1]:
+            raise NumericError(f"factor covariance is not positive semidefinite "
+                               f"(eigenvalue {lam[0]:.3g})") from None
+        S = V * np.sqrt(np.maximum(lam, 0.0))
+    G = B @ S
+    out = np.matmul(G, G.T, out=out)
+    out.flat[::idio.size + 1] += idio
+    return out

@@ -10,6 +10,7 @@ excess returns, the caller must supply excess returns.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,40 @@ class ReturnPanel:
         return len(self.factors)
 
 
+def _parse_row(path, names: list[str], lineno: int, rec: list[str]) -> list[float] | None:
+    """One data row's numbers, cell by cell, or None for a row to drop: a blank
+    row, or one with an empty / NaN cell.  A row of the wrong length, or a
+    non-numeric, non-empty cell, raises FormatError naming the row and column."""
+    if not rec or all(c.strip() == "" for c in rec):
+        return None
+    if len(rec) != len(names) + 1:
+        raise FormatError(f"{path}: row {lineno} has {len(rec)} cells, expected {len(names) + 1}")
+    values: list[float] = []
+    missing = False
+    for col, cell in zip(names, rec[1:]):
+        cell = cell.strip()
+        if cell == "":
+            missing = True
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            raise FormatError(f"{path}: row {lineno}, column {col!r}: cannot parse {cell!r} as a number") from None
+        if math.isnan(v):
+            missing = True
+        else:
+            values.append(v)
+    return None if missing else values
+
+
 def _read_csv(path) -> tuple[list[str], dict[str, list[float]]]:
     """Read one delimited file -> (column names, date -> numeric row).
 
     Rows with any empty / NaN cell are dropped.  Non-numeric, non-empty cells
-    raise FormatError naming the offending row and column.
+    raise FormatError naming the offending row and column.  A row of the right
+    length is parsed in one pass, ``float`` stripping the same whitespace as
+    ``str.strip``; only a row that fails it (blank, short or long, or with an
+    empty or non-numeric cell) goes through ``_parse_row``'s cell-by-cell checks.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -80,28 +110,15 @@ def _read_csv(path) -> tuple[list[str], dict[str, list[float]]]:
         names = [h.strip() for h in header[1:]]
         rows: dict[str, list[float]] = {}
         for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(c.strip() == "" for c in rec):
+            try:
+                values = list(map(float, rec[1:])) if len(rec) == len(header) else None
+            except ValueError:
+                values = None
+            if values is None:
+                values = _parse_row(path, names, lineno, rec)
+            if values is None or any(map(math.isnan, values)):
                 continue
-            if len(rec) != len(header):
-                raise FormatError(f"{path}: row {lineno} has {len(rec)} cells, expected {len(header)}")
             date = rec[0].strip()
-            values: list[float] = []
-            missing = False
-            for col, cell in zip(names, rec[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    missing = True
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise FormatError(f"{path}: row {lineno}, column {col!r}: cannot parse {cell!r} as a number") from None
-                if np.isnan(v):
-                    missing = True
-                else:
-                    values.append(v)
-            if missing:
-                continue
             if date in rows:
                 raise IntegrityError(f"{path}: duplicate date {date!r} at row {lineno}")
             rows[date] = values

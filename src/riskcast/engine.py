@@ -16,8 +16,16 @@ is the probability-weighted average of each ordering's (law of total variance).
 
 The filter keeps three tables of log model probabilities, forgotten in place by
 ``select`` (so it runs once per date) and Bayes-updated in place by ``update_step``:
-``asset_log_probs`` (masks x P, N), a row per spec (parent mask, delta, kappa) and
+``asset_log_weights`` (masks x P, N), a row per spec (parent mask, delta, kappa) and
 a column per asset; ``factor_log_probs`` (equations, P_f); ``ordering_log_probs``.
+The recursion p_t ~ p_{t-1}^alpha f_t (Raftery, Karny & Ettler 2010) needs its
+normalizer only where probabilities are read, and a backtest reads only each
+asset's argmax, which a per-asset constant cannot move.  So the asset table is
+never renormalized: it holds the log probabilities exact up to a per-asset
+constant, and ``asset_log_probs()`` normalizes a copy on read, as ``inclusion``
+does.  ``select`` subtracts each asset's selected, largest entry, so the table
+stays as bounded as a normalized one when alpha = 1.  The factor and ordering
+tables are renormalized in place on every update.
 
 One scoring loop turns the (mean, covariance) that each comparison row's
 predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
@@ -37,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import benchmarks as bench
 from . import portfolio as pf
@@ -247,16 +254,18 @@ class _DynamicFactorFilter:
         # the (mask, asset) members of consecutive masks, mask-major (asset j
         # on mask index i is member i N + j of the pools in sequence), and its
         # specs (mask, delta, kappa) fill contiguous rows of the log
-        # probabilities, kept as (specs, N) so that they normalize over axis 0
+        # weights, kept as (specs, N) so that they normalize over axis 0
         self.P_r = len(config.delta_grid) * len(config.kappa_r_grid)
         masks = range(1, 1 << K) if config.sparsity else [(1 << K) - 1]
         self.masks = np.array(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
         mi, j = np.divmod(np.arange(len(self.masks) * N), N)
         s0 = _ols_residual_variance(self.R[:train], self.X[:train])
         self.asset_groups, self.asset_eqs = self._pools(
-            self.masks[mi], 1 + K + j, config.kappa_r_grid, lambda rec: s0[rec[:, -1] - 1 - K])
+            self.masks[mi], 1 + K + j, config.kappa_r_grid,
+            lambda rec: s0[rec[..., -1].ravel() - 1 - K])
         n_specs = len(self.masks) * self.P_r
-        self.asset_log_probs = np.full((n_specs, N), -np.log(n_specs))
+        self.asset_log_weights = np.full((n_specs, N), -np.log(n_specs))
+        self._assets = np.arange(N)
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
                                       axis=0).astype(float)
         self._dens_a = np.empty((n_specs, N))      # densities, by pool as (masks, specs, N)
@@ -266,13 +275,15 @@ class _DynamicFactorFilter:
         # factor block: each distinct equation (parent mask, target) once, in pool
         # j, its parent count, from row factor_start[j] on.  Ordering o uses row
         # factor_eq[j, o] at position j, its second moments at factor_offsets[j].
+        # The priors come from one OLS fit per parent mask, of all its targets.
         self.P_f = len(config.delta_grid) * len(config.kappa_f_grid)
         eqs = [[(sum(1 << i for i in p[:jj]), p[jj] + 1) for p in perms] for jj in range(K)]
         factor_eqs = [eq for pos in eqs for eq in sorted(set(pos))]
         self.factor_groups, self.factor_eqs = self._pools(
             *np.array(factor_eqs).T, config.kappa_f_grid,
-            lambda rec: [_ols_residual_variance(self.X[:train, y], self.X[:train, cols])
-                         for *cols, y in rec])
+            lambda rec: np.concatenate([_ols_residual_variance(self.X[:train, g[:, -1]],
+                                                               self.X[:train, g[0, :-1]])
+                                        for g in rec]))
         self.factor_start = np.cumsum([0] + [g.n_eq for g in self.factor_groups[:-1]])
         row = {eq: e for e, eq in enumerate(factor_eqs)}
         self.factor_eq = np.array([[row[eq] for eq in pos] for pos in eqs])
@@ -291,9 +302,10 @@ class _DynamicFactorFilter:
         parent count, that regress column targets[e] of z_t on the constant and
         the parents in bit mask masks[e], with its members' records (b, d + 1):
         regressor columns, then target, in Fortran order so that each column
-        gathered through them is contiguous.  ``prior_scales`` maps records to s0.
-        The members on one parent mask share a row, so they are one group: the
-        masks come in consecutive blocks of equally many members."""
+        gathered through them is contiguous.  The members on one parent mask
+        share a row, so they are one group: the masks come in consecutive blocks
+        of equally many members.  ``prior_scales`` maps a pool's records by group,
+        (groups, members, d + 1), to the s0 of its members in sequence."""
         in_x = ((masks[:, None] << 1 | 1) >> np.arange(self.K + 1)) & 1
         dims = in_x.sum(axis=1)
         groups, records = [], []
@@ -301,8 +313,10 @@ class _DynamicFactorFilter:
             rows = np.flatnonzero(dims == d)
             cols = np.nonzero(in_x[rows])[1].reshape(-1, d)
             records.append(np.asfortranarray(np.column_stack((cols, targets[rows]))))
+            n_groups = np.unique(masks[rows]).size
             groups.append(PoolGroup(int(d), rows.size, self.config.delta_grid, kappas,
-                                    prior_scales(records[-1]), groups=np.unique(masks[rows]).size))
+                                    prior_scales(records[-1].reshape(n_groups, -1, d + 1)),
+                                    groups=n_groups))
         return groups, records
 
     def close(self) -> None:
@@ -321,16 +335,20 @@ class _DynamicFactorFilter:
         """Evolve, forget the filter's three tables in place (so once per date), and
         pick the specs of highest forgotten probability: (row of the (masks x P, N)
         asset table per asset, column of the (equations, P_f) factor table per
-        equation).  Only the orderings, ``recouple``'s mixture weights, are
-        renormalized; argmax ignores a constant."""
+        equation).  The argmax is taken on the stored asset table, exact up to a
+        per-asset constant, which it ignores; each asset's column is then shifted
+        so that its selected entry is 0.  Only the orderings, ``recouple``'s
+        mixture weights, are renormalized."""
         cfg = self.config
         self._map(lambda pool: pool[0].evolve(), self.pools)
         self.factor_log_probs *= cfg.alpha
         sel_f = np.argmax(self.factor_log_probs, axis=1)
         self.ordering_log_probs *= cfg.alpha_ord
         _normalize(self.ordering_log_probs, axis=-1)
-        self.asset_log_probs *= cfg.alpha
-        sel_assets = np.argmax(self.asset_log_probs, axis=0)
+        lw = self.asset_log_weights
+        lw *= cfg.alpha
+        sel_assets = np.argmax(lw, axis=0)
+        lw -= lw[sel_assets, self._assets]
         # the pools of a block share r = kappa n
         for block, grp, p_idx in (("factor", self.factor_groups[0], sel_f),
                                   ("asset", self.asset_groups[0], sel_assets % self.P_r)):
@@ -354,10 +372,10 @@ class _DynamicFactorFilter:
 
     def update_step(self, t: int, selection) -> float:
         """Observe date t, update the states, and add the date's log densities to
-        the three tables that ``select`` forgot, each renormalized in place over
-        its specs: axis 0 of the assets' (masks x P, N), axis 1 of the factors'
-        (equations, P_f), and the orderings.  Returns the asset-block log
-        predictive density of the selected models."""
+        the three tables that ``select`` forgot: the factors' (equations, P_f) and
+        the orderings, each renormalized in place over its specs, and the assets'
+        (masks x P, N), left exact up to a per-asset constant.  Returns the
+        asset-block log predictive density of the selected models."""
         sel_assets, sel_f = selection
         z = np.concatenate((self.X[t], self.R[t]))
 
@@ -380,14 +398,19 @@ class _DynamicFactorFilter:
         # a pool's densities (masks x N, P) fill its rows (masks x P, N)
         for block, d in zip(self._dens_blocks, dens[:n_a]):
             block[...] = d.T.reshape(self.P_r, -1, self.N).transpose(1, 0, 2)
-        self.asset_log_probs += self._dens_a
-        _normalize(self.asset_log_probs, axis=0)
-        return float(self._dens_a[sel_assets, np.arange(self.N)].sum())
+        self.asset_log_weights += self._dens_a
+        return float(self._dens_a[sel_assets, self._assets].sum())
+
+    def asset_log_probs(self) -> np.ndarray:
+        """The asset table normalized over its specs: a new (masks x P, N) array."""
+        lp = self.asset_log_weights.copy()
+        _normalize(lp, axis=0)
+        return lp
 
     def inclusion(self) -> np.ndarray:
         """Posterior inclusion probability of each factor in each asset's
-        parent set, (N, K)."""
-        return (self.include_mask.T @ np.exp(self.asset_log_probs)).T
+        parent set, (N, K), from the asset table normalized on read."""
+        return (self.include_mask.T @ np.exp(self.asset_log_probs())).T
 
 
 def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
@@ -400,7 +423,7 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         N, K = flt.N, flt.K
         lpd_series, asset_mean = np.zeros(T_eval), np.zeros((T_eval, N))
         if collect_weights:
-            weights, cov, work = np.zeros((T_eval, N)), np.empty((N, N)), np.empty((N, N))
+            weights, cov = np.zeros((T_eval, N)), np.empty((N, N))
             inclusion = ord_lp = fac_mean = fac_cov = None
         else:
             weights = None
@@ -416,7 +439,7 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                     mean, B, idio, lam, sig = flt.recouple(selection)
                     asset_mean[i] = mean
                     if collect_weights:
-                        asset_covariance(B, sig, idio, out=cov, work=work)
+                        asset_covariance(B, sig, idio, out=cov)
                         mu = pf.momentum_signal(flt.R, t) if momentum else mean
                         weights[i] = _solve_weights(config, mu, cov,
                                                     weights[i - 1] if i > 0 else None).w
@@ -454,10 +477,9 @@ def _solve_weights(config: RunConfig, mean: np.ndarray, cov: np.ndarray,
 
 
 def _gaussian_lpd(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    L, low = cho_factor(cov, lower=True)
     e = y - mean
-    z = cho_solve((L, low), e)
-    return float(-0.5 * (y.size * np.log(2.0 * np.pi)) - np.log(np.diag(L)).sum()
+    z, L = pf._solve_spd(cov, e)
+    return float(-0.5 * (y.size * np.log(2.0 * np.pi)) - np.log(L.diagonal()).sum()
                  - 0.5 * e @ z)
 
 

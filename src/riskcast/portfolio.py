@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (DegeneracyError, InfeasibleError, NumericError,
                      ParameterError, ShapeError, WindowError)
@@ -79,11 +79,20 @@ class BacktestReport:
     rows: list[ModelRow]
 
 
-def _solve_spd(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return cho_solve(cho_factor(cov, lower=True), rhs)
-    except np.linalg.LinAlgError:
-        raise NumericError("covariance matrix is not positive definite") from None
+def _solve_spd(cov: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solution x of cov x = rhs and the lower Cholesky factor L of cov,
+    from its lower triangle, by one LAPACK potrf and one potrs; NumericError
+    if cov is not finite or not positive definite."""
+    cov = np.asarray(cov, float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ShapeError(f"cov has shape {cov.shape}, expected a square matrix")
+    L, info = dpotrf(cov, lower=1, clean=0)
+    # a NaN pivot can pass potrf with info 0, so the factor's diagonal is checked too
+    if info != 0 or not np.isfinite(L.diagonal()).all():
+        if not np.isfinite(cov).all():
+            raise NumericError("covariance matrix is not finite")
+        raise NumericError("covariance matrix is not positive definite")
+    return dpotrs(L, rhs, lower=1)[0], L
 
 
 def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float) -> WeightVector:
@@ -98,7 +107,7 @@ def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float) -> WeightVecto
     if cov.shape != (n, n):
         raise ShapeError(f"cov has shape {cov.shape}, expected ({n}, {n})")
     ones = np.ones(n)
-    si_one, si_mu = _solve_spd(cov, np.column_stack((ones, mean))).T
+    si_one, si_mu = _solve_spd(cov, np.column_stack((ones, mean)))[0].T
     A = float(ones @ si_one)
     B = float(ones @ si_mu)
     C = float(mean @ si_mu)
@@ -114,7 +123,7 @@ def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float) -> WeightVecto
 def gmv_weights(cov: np.ndarray) -> WeightVector:
     """Global minimum-variance weights: Sigma^-1 1 normalized to the budget."""
     cov = np.asarray(cov, float)
-    si_one = _solve_spd(cov, np.ones(cov.shape[0]))
+    si_one = _solve_spd(cov, np.ones(cov.shape[0]))[0]
     return WeightVector(si_one / si_one.sum())
 
 

@@ -94,7 +94,7 @@ def test_criterion_2_selection_oracle():
                 cum[i] += dlm.log_predictive_density(dlm.forecast(prior, Freg), float(y[t]))
                 states[i] = dlm.update(prior, Freg, float(y[t]))
         oracle = cum - logsumexp(cum)
-        worst = max(worst, float(np.max(np.abs(flt.asset_log_probs[:, 0] - oracle))))
+        worst = max(worst, float(np.max(np.abs(flt.asset_log_probs()[:, 0] - oracle))))
         flt.close()
     elapsed = time.time() - start
     report("2 selection oracle", worst < 1e-8 and elapsed < 10,

@@ -57,6 +57,28 @@ class TestLoadPanel:
         panel = load_panel(a, f)
         assert panel.dates == ("d1", "d3")
 
+    def test_padded_nan_and_blank_cells(self, tmp_path):
+        # whitespace around a number is read as the number; a row with an
+        # empty or NaN cell is dropped, and so is a blank line
+        a = write(tmp_path / "a.csv", "date,x,y\nd1, 0.1 ,2e-3\n\nd2,nan,0.2\n,,\n"
+                                      "d3,0.3, NaN\nd4,-0.4,\t0.5\nd5,,0.6\n")
+        f = write(tmp_path / "f.csv", "date,m\n" + "".join(f"d{i},{i}\n" for i in range(1, 6)))
+        panel = load_panel(a, f)
+        assert panel.dates == ("d1", "d4")
+        assert panel.R.tolist() == [[0.1, 0.002], [-0.4, 0.5]]
+
+    def test_bad_cell_after_a_missing_one_still_raises(self, tmp_path):
+        a = write(tmp_path / "a.csv", "date,x,y\nd1,0.1,0.2\nd2,,oops\n")
+        f = write(tmp_path / "f.csv", "date,m\nd1,1\nd2,2\n")
+        with pytest.raises(FormatError, match="row 3, column 'y'"):
+            load_panel(a, f)
+
+    def test_short_row_raises(self, tmp_path):
+        a = write(tmp_path / "a.csv", "date,x,y\nd1,0.1,0.2\nd2,0.3\n")
+        f = write(tmp_path / "f.csv", "date,m\nd1,1\nd2,2\n")
+        with pytest.raises(FormatError, match="row 3 has 2 cells, expected 3"):
+            load_panel(a, f)
+
     def test_dates_sorted_ascending(self, tmp_path):
         a = write(tmp_path / "a.csv", "date,x\nd3,0.3\nd1,0.1\nd2,0.2\n")
         f = write(tmp_path / "f.csv", "date,m\nd2,2\nd3,3\nd1,1\n")

@@ -15,7 +15,7 @@ from riskcast._batch import (N0, PoolGroup, _ols_residual_variance, asset_covari
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
                              run_statistics_only)
-from riskcast.errors import ParameterError
+from riskcast.errors import NumericError, ParameterError
 
 
 def moments_from_second(S):
@@ -342,7 +342,7 @@ class TestBatchedKernelEquivalence:
         # the engine stacks the (mask, asset) members of all masks with one
         # parent count into a pool; the reference keeps one PoolGroup per mask,
         # its one regressor row broadcast to every asset, in the spec layout
-        # of asset_log_probs (mask in flt.masks order, then delta, then kappa)
+        # of asset_log_weights (mask in flt.masks order, then delta, then kappa)
         panel = small_panel(seed=22, N=4, K=K, T=60, train=30)
         cfg = RunConfig(ordering="fixed")
         flt = _DynamicFactorFilter(panel, cfg)
@@ -350,7 +350,7 @@ class TestBatchedKernelEquivalence:
         parents = [[i for i in range(K) if (m >> i) & 1] for m in flt.masks]
         s0 = _ols_residual_variance(panel.R[:30], flt.X[:30])
         ref = [PoolGroup(1 + len(p), N, cfg.delta_grid, cfg.kappa_r_grid, s0) for p in parents]
-        lp = flt.asset_log_probs.T.copy()
+        lp = flt.asset_log_probs().T
         for t in range(panel.T):
             selection = flt.select()
             mean, B, idio, lam, sig = flt.recouple(selection)
@@ -375,27 +375,36 @@ class TestBatchedKernelEquivalence:
                 grp.update()
             lp = cfg.alpha * lp + np.concatenate(dens, axis=1)
             lp -= scipy_logsumexp(lp, axis=1, keepdims=True)
-            np.testing.assert_allclose(flt.asset_log_probs.T, lp, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(flt.asset_log_probs().T, lp, rtol=0, atol=1e-12)
         flt.close()
 
 
     def test_asset_covariance_into_buffers_matches_the_allocating_form(self):
-        # B sig B' + diag(idio), symmetrized as (cov + cov') / 2, bit for bit,
-        # whether it allocates or writes into reused buffers
+        # B sig B' + diag(idio), exactly symmetric and within 1e-15 of the
+        # direct product, scaled by its largest entry; bit for bit the same
+        # whether it allocates or writes into a reused buffer.  A singular PSD
+        # sig, here with a zero-variance factor, is accepted.
         rng = np.random.default_rng(24)
         N, K = 37, 5
-        out, work = np.full((N, N), np.nan), np.full((N, N), np.nan)
-        for _ in range(3):
+        out = np.full((N, N), np.nan)
+        for singular in (False, False, True, True):
             B = rng.normal(size=(N, K))
             A = rng.normal(size=(K, K))
             sig, idio = A @ A.T, rng.uniform(0.1, 1.0, N)
+            if singular:
+                sig[-1] = sig[:, -1] = 0.0
             ref = B @ sig @ B.T
             ref[np.diag_indices(N)] += idio
-            ref = (ref + ref.T) / 2.0
-            assert asset_covariance(B, sig, idio, out=out, work=work) is out
-            for cov in (out, asset_covariance(B, sig, idio)):
-                assert cov.tobytes() == ref.tobytes()
-                assert np.array_equal(cov, cov.T)
+            assert asset_covariance(B, sig, idio, out=out) is out
+            cov = asset_covariance(B, sig, idio)
+            assert cov.tobytes() == out.tobytes()
+            assert np.array_equal(cov, cov.T)
+            assert np.abs(cov - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_asset_covariance_rejects_an_indefinite_factor_covariance(self):
+        sig = np.diag([1.0, -1e-3])
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            asset_covariance(np.ones((3, 2)), sig, np.ones(3))
 
 
 def reference_singleton_run(panel):
@@ -469,7 +478,7 @@ class TestComposedOracle:
                     cum[j, mi] += dlm.log_predictive_density(fc, float(panel.R[t, j]))
                     states[j, mi] = dlm.update(prior, Freg, float(panel.R[t, j]))
             expected = cum - scipy_logsumexp(cum, axis=1, keepdims=True)
-            np.testing.assert_allclose(flt.asset_log_probs.T, expected, atol=1e-8)
+            np.testing.assert_allclose(flt.asset_log_probs().T, expected, atol=1e-8)
         flt.close()
 
 
@@ -548,7 +557,7 @@ class TestEngineInvariants:
                     assert np.array_equal(a, b)
             lazy.update_step(t, sel_lazy)
             eager.update_step(t, sel_eager)
-            for name in ("asset_log_probs", "factor_log_probs", "ordering_log_probs"):
+            for name in ("asset_log_weights", "factor_log_probs", "ordering_log_probs"):
                 assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
             for a, b in zip(lazy.asset_groups + lazy.factor_groups,
                             eager.asset_groups + eager.factor_groups):
@@ -559,22 +568,27 @@ class TestEngineInvariants:
 
     def test_asset_log_probs_round_trip(self):
         # stored as (masks x P, N): a row per spec (mask in flt.masks order,
-        # then delta, then kappa) and a column per asset; select forgets the
-        # stored table in place
+        # then delta, then kappa) and a column per asset, exact up to a
+        # per-asset constant; asset_log_probs() normalizes a copy over the
+        # specs, and select forgets the stored table in place and shifts each
+        # column so that its selected entry is 0
         panel = small_panel(seed=26, N=4, K=3, T=30, train=20)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed"))
         for t in range(5):
             flt.update_step(t, flt.select())
-            lp = flt.asset_log_probs
-            assert lp.shape == (len(flt.masks) * flt.P_r, 4)
+            stored = flt.asset_log_weights.copy()
+            lp = flt.asset_log_probs()
+            assert lp.shape == stored.shape == (len(flt.masks) * flt.P_r, 4)
             np.testing.assert_allclose(np.exp(lp).sum(axis=0), 1.0, rtol=0, atol=1e-12)
+            assert np.array_equal(flt.asset_log_weights, stored)
+            shift = lp - stored
+            np.testing.assert_allclose(shift - shift[0], 0.0, rtol=0, atol=1e-12)
         new = np.random.default_rng(27).normal(size=lp.shape)
-        engine._normalize(new, axis=0)
-        flt.asset_log_probs = new.copy()
-        assert np.array_equal(flt.asset_log_probs, new)
+        flt.asset_log_weights = new.copy()
         sel_assets, _ = flt.select()
-        np.testing.assert_array_equal(sel_assets, np.argmax(flt.config.alpha * new, axis=0))
-        assert np.array_equal(flt.asset_log_probs, flt.config.alpha * new)
+        np.testing.assert_array_equal(sel_assets, np.argmax(new, axis=0))
+        forgotten = flt.config.alpha * new
+        assert np.array_equal(flt.asset_log_weights, forgotten - forgotten[sel_assets, np.arange(4)])
         flt.close()
 
     def test_stats_match_backtest_lpd(self):
@@ -596,6 +610,23 @@ class TestEngineInvariants:
         monkeypatch.setattr(_DynamicFactorFilter, "inclusion", fail)
         report = run_backtest(small_panel(seed=9), RunConfig(strategy="gmv"))
         assert np.isfinite(report.rows[0].lpd)
+
+    @pytest.mark.parametrize("cov, match", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "not finite"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite")])
+    def test_gaussian_lpd_rejects_a_bad_covariance(self, cov, match):
+        with pytest.raises(NumericError, match=match):
+            engine._gaussian_lpd(np.zeros(2), np.zeros(2), cov)
+
+    def test_bad_comparison_covariance_names_the_row_and_date(self, monkeypatch):
+        def nan_cov(R, F, train):
+            for _ in range(train, R.shape[0]):
+                yield np.zeros(R.shape[1]), np.full((R.shape[1],) * 2, np.nan)
+
+        monkeypatch.setitem(engine.bench.PREDICTORS, "lw", nan_cov)
+        panel = small_panel(seed=10, N=3, K=2, T=50, train=30)
+        with pytest.raises(NumericError, match="lw, date t00030: covariance matrix is not finite"):
+            run_backtest(panel, RunConfig(strategy="gmv", benchmarks=("lw",)))
 
     def test_error_carries_date_context(self):
         panel = small_panel(seed=10, N=3, K=2, T=70, train=30)
@@ -694,8 +725,9 @@ class TestEngineBehaviors:
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
         monkeypatch.undo()
-        # one fit for all assets, one per (parent set, target): K 2^(K-1)
-        assert len(calls) == 1 + 4 * 2 ** 3
+        # one fit for all assets, one per parent set of the factor equations,
+        # each of every target on that set: the 2^K - 1 proper subsets
+        assert len(calls) == 1 + 2 ** 4 - 1
         train = panel.train_len
         s_factor = np.concatenate([grp.s[:, 0] for grp in flt.factor_groups])
         for jj in range(flt.K):

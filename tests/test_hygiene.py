@@ -12,9 +12,15 @@
 (d) Every public top-level function and class in ``src/riskcast`` is
     referenced somewhere else in ``src/`` or ``bench/``, so no code lives in
     the package only for the tests.
+(e) Importing the engine, in a fresh interpreter, leaves ``scipy.special``
+    unloaded: the filter kernel's Student-t constant uses ``math.lgamma``,
+    and only the ``dlm`` oracle uses ``gammaln``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +156,12 @@ def test_every_public_definition_is_referenced():
                            for other, tree in trees.items()):
                     unreferenced.append(f"{path.name}:{node.name}")
     assert unreferenced == []
+
+
+def test_engine_import_leaves_scipy_special_unloaded():
+    code = "import sys, riskcast.engine; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

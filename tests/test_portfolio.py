@@ -85,6 +85,29 @@ class TestGMV:
             np.testing.assert_allclose(gmv_weights(c * cov).w, base, atol=1e-10)
 
 
+BAD_COVARIANCES = [
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "not finite"),
+    (np.diag([1.0, np.inf]), "not finite"),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite"),
+    (np.diag([1.0, 0.0]), "not positive definite"),
+]
+
+
+class TestCovarianceChecks:
+    """A covariance that cannot be factored raises NumericError, which callers
+    that catch RiskcastError can name, from both closed-form solvers."""
+
+    @pytest.mark.parametrize("cov, match", BAD_COVARIANCES)
+    def test_gmv(self, cov, match):
+        with pytest.raises(NumericError, match=match):
+            gmv_weights(cov)
+
+    @pytest.mark.parametrize("cov, match", BAD_COVARIANCES)
+    def test_mvp(self, cov, match):
+        with pytest.raises(NumericError, match=match):
+            mvp_weights(np.array([0.1, 0.0]), cov, 0.05)
+
+
 class TestConstrained:
     def test_inactive_box_matches_closed_forms(self):
         rng = np.random.default_rng(3)

@@ -1,12 +1,14 @@
 """Model spaces and dynamic model probabilities, as the engine runs them.
 
-The filter stores the asset table ``asset_log_probs`` as (masks x P, N), a
+The filter stores the asset table ``asset_log_weights`` as (masks x P, N), a
 row per spec and a column per asset, and the factor table as (equations, P).
-``select`` forgets both in place (times alpha), leaving them unnormalized,
-since the update removes any constant; ``update_step`` adds the kernel's
-one-step predictive densities and renormalizes each table in place with
-``_normalize``.  The tests drive ``_DynamicFactorFilter`` where the densities
-can come from the filters themselves, and ``_normalize`` where they are given.
+``select`` forgets both in place (times alpha), leaving them unnormalized;
+``update_step`` adds the kernel's one-step predictive densities to both and
+renormalizes the factor table in place with ``_normalize``.  The asset table
+stays exact up to a per-asset constant, and the tests read it normalized,
+through ``asset_log_probs()``.  The tests drive ``_DynamicFactorFilter`` where
+the densities can come from the filters themselves, and ``_normalize`` where
+they are given.
 """
 
 import numpy as np
@@ -42,9 +44,9 @@ def forget(flt, log_probs):
     """The engine's forgetting step on given asset log probabilities, in the
     stored (specs, N) layout: (forgotten log probabilities, normalized over
     the specs, selected spec per asset)."""
-    flt.asset_log_probs = np.array(log_probs, float)
+    flt.asset_log_weights = np.array(log_probs, float)
     sel_assets, _ = flt.select()
-    return normalized(flt.asset_log_probs, 0), sel_assets
+    return flt.asset_log_probs(), sel_assets
 
 
 def update(predicted, log_densities):
@@ -62,14 +64,14 @@ class TestBuildPool:
     def test_asset_space_size(self):
         # (2^K - 1) parent masks x |delta| x |kappa_r|
         flt = make_filter(K=5, delta_grid=(0.95, 0.975, 1.0), kappa_r_grid=(0.99, 0.995, 1.0))
-        assert flt.asset_log_probs.shape == (31 * 9, 2) == (279, 2)
+        assert flt.asset_log_weights.shape == (31 * 9, 2) == (279, 2)
         assert all(m != 0 for m in flt.masks)
-        np.testing.assert_allclose(logsumexp(flt.asset_log_probs, axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(logsumexp(flt.asset_log_probs(), axis=0), 0.0, atol=1e-12)
 
     def test_singleton_space(self):
         flt = make_filter(K=1, delta_grid=(1.0,), kappa_r_grid=(1.0,))
-        assert flt.asset_log_probs.shape == (1, 2)
-        np.testing.assert_allclose(np.exp(flt.asset_log_probs), 1.0)
+        assert flt.asset_log_weights.shape == (1, 2)
+        np.testing.assert_allclose(np.exp(flt.asset_log_probs()), 1.0)
 
     def test_factor_equation_space(self):
         # enumeration oracle: one full mask over the preceding factors
@@ -120,12 +122,12 @@ class TestBuildPool:
 class TestPredictProbs:
     def test_no_forgetting_is_identity(self):
         flt = make_filter(alpha=1.0)
-        lp = normalized(np.random.default_rng(0).normal(size=flt.asset_log_probs.shape), 0)
+        lp = normalized(np.random.default_rng(0).normal(size=flt.asset_log_weights.shape), 0)
         np.testing.assert_allclose(forget(flt, lp)[0], lp, atol=1e-14)
 
     def test_uniform_is_fixed_point(self):
         flt = make_filter(alpha=0.9)
-        n = flt.asset_log_probs.shape[0]
+        n = flt.asset_log_weights.shape[0]
         lp_pred, _ = forget(flt, np.full((n, 2), -np.log(n)))
         np.testing.assert_allclose(np.exp(lp_pred), 1.0 / n, atol=1e-14)
 
@@ -133,7 +135,7 @@ class TestPredictProbs:
         # direct evaluation: p_i^alpha renormalized
         flt = make_filter(alpha=0.99)
         rng = np.random.default_rng(1)
-        p = rng.uniform(0.1, 1.0, size=flt.asset_log_probs.shape)
+        p = rng.uniform(0.1, 1.0, size=flt.asset_log_weights.shape)
         p /= p.sum(axis=0, keepdims=True)
         raw = p ** 0.99
         lp_pred, _ = forget(flt, np.log(p))
@@ -169,7 +171,51 @@ class TestUpdateProbs:
                 prior = dlm.evolve(states[i], d, k)
                 cum[i] += dlm.log_predictive_density(dlm.forecast(prior, F), y)
                 states[i] = dlm.update(prior, F, y)
-        np.testing.assert_allclose(flt.asset_log_probs[:, 0], cum - logsumexp(cum), atol=1e-8)
+        np.testing.assert_allclose(flt.asset_log_probs()[:, 0], cum - logsumexp(cum), atol=1e-8)
+
+
+class RenormalizingFilter(_DynamicFactorFilter):
+    """The former asset recursion, which holds the log probabilities
+    themselves: ``select`` forgets the table and takes its argmax without
+    shifting it, and ``update_step`` renormalizes it over its specs."""
+
+    def select(self):
+        forgotten = self.config.alpha * self.asset_log_weights
+        selection = super().select()
+        self.asset_log_weights[...] = forgotten
+        return selection
+
+    def update_step(self, t, selection):
+        lpd = super().update_step(t, selection)
+        _normalize(self.asset_log_weights, axis=0)
+        return lpd
+
+
+class TestUnnormalizedAssetTable:
+    @pytest.mark.parametrize("alpha, T", [(1.0, 2100), (0.9, 400)])
+    def test_matches_renormalizing_every_date(self, alpha, T):
+        # the stored table differs from the renormalized one by a per-asset
+        # constant: the same selections, and the same table once normalized,
+        # as probabilities and as log probabilities relative to their size
+        panel = small_panel(seed=31, N=4, K=2, T=T, train=40)
+        cfg = RunConfig(ordering="fixed", alpha=alpha)
+        flt, ref = _DynamicFactorFilter(panel, cfg), RenormalizingFilter(panel, cfg)
+        for t in range(T):
+            sel, sel_ref = flt.select(), ref.select()
+            np.testing.assert_array_equal(sel[0], sel_ref[0])
+            np.testing.assert_array_equal(sel[1], sel_ref[1])
+            assert flt.update_step(t, sel) == ref.update_step(t, sel_ref)
+            lp, lp_ref = flt.asset_log_probs(), ref.asset_log_weights
+            np.testing.assert_allclose(np.exp(lp), np.exp(lp_ref), rtol=0, atol=1e-12)
+            assert np.all(np.abs(lp - lp_ref) <= 1e-12 * np.maximum(1.0, np.abs(lp_ref)))
+        # select recenters each asset on its selected spec, whose entry is the
+        # largest, so the stored table stays bounded at alpha = 1 too
+        sel_assets, _ = flt.select()
+        lw = flt.asset_log_weights
+        assert np.array_equal(lw[sel_assets, np.arange(4)], np.zeros(4))
+        assert np.array_equal(lw.max(axis=0), np.zeros(4))
+        flt.close()
+        ref.close()
 
 
 class TestSelectBest:
@@ -180,7 +226,7 @@ class TestSelectBest:
 
     def test_tie_breaks_low_index(self):
         flt = make_filter()
-        n = flt.asset_log_probs.shape[0]
+        n = flt.asset_log_weights.shape[0]
         lp = np.full((n, 2), -np.log(n))
         _, sel = forget(flt, lp)
         np.testing.assert_array_equal(sel, 0)
@@ -220,7 +266,7 @@ class TestInclusionProbability:
         for t in range(10):
             flt.update_step(t, flt.select())
         inclusion = flt.inclusion()
-        p = np.exp(flt.asset_log_probs)
+        p = np.exp(flt.asset_log_probs())
         masks = spec_masks(flt)
         for k in range(3):
             holds = (masks >> k) & 1 == 1
@@ -238,7 +284,7 @@ class TestInclusionProbability:
         for flt in (base, shifted):
             flt.update_step(0, flt.select())
         holds = (spec_masks(shifted) & 1) == 1
-        shifted.asset_log_probs = normalized(shifted.asset_log_probs + holds[:, None], 0)
+        shifted.asset_log_weights = normalized(shifted.asset_log_probs() + holds[:, None], 0)
         for flt in (base, shifted):
             flt.update_step(1, flt.select())
         after = [flt.inclusion()[0, 0] for flt in (base, shifted)]
@@ -279,5 +325,5 @@ class TestProperties:
                 states[i] = dlm.update(prior, F, y)
             diffs.append(dens[0] - dens[1])
             expected = sum(alpha ** l * diffs[-1 - l] for l in range(len(diffs)))
-            lp = flt.asset_log_probs[:, 0]
+            lp = flt.asset_log_probs()[:, 0]
             assert lp[0] - lp[1] == pytest.approx(expected, abs=1e-8)
