@@ -40,7 +40,7 @@ CONFIG_KEYS = {
     "mean_signal": (str, "mean_signal"), "fee_reference": (str, "fee_reference"),
     "tau": (float, "tau_annual"), "bound": (float, "max_weight"),
     "alpha": (float, "alpha"), "alpha_ord": (float, "alpha_ord"),
-    "train_len": (int, "train_len"), "threads": (int, "threads"),
+    "train_len": (int, "train_len"),
     "tc": (list[float], "tc_bps"), "gamma": (list[float], "gamma"),
     "factor_set": (list[int], "factor_set"), "benchmarks": (list[str], "benchmarks"),
     "delta_grid": (list[float], "delta_grid"), "kappa_r_grid": (list[float], "kappa_r_grid"),
@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
     shared.add_argument("--ordering", choices=["learn", "fixed"])
     shared.add_argument("--factor-set", type=int, nargs="+", dest="factor_set",
                         help="factor column indices to use")
-    shared.add_argument("--threads", type=int)
     shared.add_argument("--train-len", type=int, dest="train_len")
     shared.add_argument("--benchmarks", nargs="+", choices=COMPARISON_MODELS,
                         help="comparison models")
@@ -122,7 +121,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--n-assets", type=int, default=20)
     sim.add_argument("--k-factors", type=int, default=3)
     sim.add_argument("--periods", type=int, default=400)
-    sim.add_argument("--train-len", type=int, default=None)
     sim.add_argument("--sparse-share", type=float, default=0.5,
                      help="share of assets with a zero loading on the last factor")
 
@@ -211,7 +209,7 @@ def _cmd_simulate(args) -> int:
         N=N, K=K, T=T, loadings=loadings,
         factor_cov=factor_sd ** 2 * (0.7 * np.eye(K) + 0.3 * np.ones((K, K))),
         idio_var=rng.uniform(0.015, 0.03, size=N) ** 2,
-        seed=args.seed, train_len=args.train_len,
+        seed=args.seed,
     )
     panel, truth = generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)

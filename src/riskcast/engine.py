@@ -30,9 +30,6 @@ tables are renormalized in place on every update.
 One scoring loop turns the (mean, covariance) that each comparison row's
 predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
 Gaussian LPD; "ew" is the only comparison model the engine names.
-
-Reduction order is fixed (by equation index, then pool-group index, then
-ordering index), so multi-threaded runs are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -40,9 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,7 +108,6 @@ class RunConfig:
     fee_reference: str = "wdlm"
     train_len: int | None = None
     periods_per_year: int = 52
-    threads: int = 1
 
     def __post_init__(self):
         if not self.delta_grid or not self.kappa_r_grid or not self.kappa_f_grid:
@@ -132,18 +126,25 @@ class RunConfig:
         for name in self.benchmarks:
             if name not in COMPARISON_MODELS:
                 raise ParameterError(f"unknown benchmark {name!r}")
+        if self.fee_reference not in (MODEL_NAME, *COMPARISON_MODELS, "none"):
+            raise ParameterError(f"unknown fee reference {self.fee_reference!r}")
         if self.max_weight is not None and self.max_weight <= 0:
             raise ParameterError("max_weight must be > 0")
+        if not self.tc_bps:
+            raise ParameterError("tc_bps must name at least one transaction cost")
         if any(tc < 0 for tc in self.tc_bps):
             raise ParameterError("transaction costs must be >= 0")
         if any(g <= 0 for g in self.gamma):
             raise ParameterError("risk aversions must be > 0")
-        if self.threads < 1:
-            raise ParameterError("threads must be >= 1")
         if self.periods_per_year < 1:
             raise ParameterError("periods_per_year must be >= 1")
-        if self.factor_set is not None and len(set(self.factor_set)) < len(self.factor_set):
-            raise ParameterError(f"factor_set {tuple(self.factor_set)} names a factor twice")
+        # a repeated discount doubles its specs' prior mass, a repeated benchmark or
+        # cost level its row or block, and a repeated gamma collapses to one fee
+        for name in ("factor_set", "delta_grid", "kappa_r_grid", "kappa_f_grid", "benchmarks",
+                     "tc_bps", "gamma"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                raise ParameterError(f"{name} {tuple(values)} repeats a value")
 
     @property
     def tau_periodic(self) -> float:
@@ -174,7 +175,6 @@ class RunConfig:
             "tc_bps": list(self.tc_bps),
             "gamma": list(self.gamma),
             "periods_per_year": self.periods_per_year,
-            "threads": self.threads,
         }
 
 
@@ -294,8 +294,6 @@ class _DynamicFactorFilter:
         # per pool: the group, the x-columns of each group's row, each member's target
         self.pools = [(grp, rec[::grp.n_eq // grp.groups, :-1], rec[:, -1]) for grp, rec
                       in zip(self.asset_groups + self.factor_groups, self.asset_eqs + self.factor_eqs)]
-        self._executor = (ThreadPoolExecutor(max_workers=config.threads)
-                          if config.threads > 1 else None)
 
     def _pools(self, masks, targets, kappas, prior_scales):
         """One PoolGroup per regression dimension d for the equations, given by
@@ -319,16 +317,6 @@ class _DynamicFactorFilter:
                                     groups=n_groups))
         return groups, records
 
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def _map(self, fn: Callable, items: Sequence) -> list:
-        if self._executor is None:
-            return [fn(x) for x in items]
-        return list(self._executor.map(fn, items))
-
     # ---- one step ----------------------------------------------------------
 
     def select(self):
@@ -340,7 +328,8 @@ class _DynamicFactorFilter:
         so that its selected entry is 0.  Only the orderings, ``recouple``'s
         mixture weights, are renormalized."""
         cfg = self.config
-        self._map(lambda pool: pool[0].evolve(), self.pools)
+        for grp, *_ in self.pools:
+            grp.evolve()
         self.factor_log_probs *= cfg.alpha
         sel_f = np.argmax(self.factor_log_probs, axis=1)
         self.ordering_log_probs *= cfg.alpha_ord
@@ -378,15 +367,11 @@ class _DynamicFactorFilter:
         asset-block log predictive density of the selected models."""
         sel_assets, sel_f = selection
         z = np.concatenate((self.X[t], self.R[t]))
-
-        def advance(pool):
-            grp, x_cols, targets = pool
+        dens = []
+        for grp, x_cols, targets in self.pools:
             f, q = grp.forecast(z[x_cols])
-            dens = grp.log_densities(z[targets], f, q)
+            dens.append(grp.log_densities(z[targets], f, q))
             grp.update()
-            return dens
-
-        dens = self._map(advance, self.pools)
         n_a = len(self.asset_groups)
         dens_f = np.concatenate(dens[n_a:])
         joint = dens_f[self.factor_eq, sel_f[self.factor_eq]].sum(axis=0)
@@ -417,42 +402,39 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
     """Drive the filter over all dates.  A backtest (``collect_weights``) also gets
     weights, but no inclusion, ordering or factor-moment series (left None)."""
     flt = _DynamicFactorFilter(panel, config)
-    try:
-        train = flt.train_len
-        T_eval = panel.T - train
-        N, K = flt.N, flt.K
-        lpd_series, asset_mean = np.zeros(T_eval), np.zeros((T_eval, N))
-        if collect_weights:
-            weights, cov = np.zeros((T_eval, N)), np.empty((N, N))
-            inclusion = ord_lp = fac_mean = fac_cov = None
-        else:
-            weights = None
-            inclusion, ord_lp = np.zeros((T_eval, N, K)), np.zeros((T_eval, flt.n_ord))
-            fac_mean, fac_cov = np.zeros((T_eval, K)), np.zeros((T_eval, K, K))
-        momentum = config.mean_signal == "momentum" and config.strategy != "gmv"
+    train = flt.train_len
+    T_eval = panel.T - train
+    N, K = flt.N, flt.K
+    lpd_series, asset_mean = np.zeros(T_eval), np.zeros((T_eval, N))
+    if collect_weights:
+        weights, cov = np.zeros((T_eval, N)), np.empty((N, N))
+        inclusion = ord_lp = fac_mean = fac_cov = None
+    else:
+        weights = None
+        inclusion, ord_lp = np.zeros((T_eval, N, K)), np.zeros((T_eval, flt.n_ord))
+        fac_mean, fac_cov = np.zeros((T_eval, K)), np.zeros((T_eval, K, K))
+    momentum = config.mean_signal == "momentum" and config.strategy != "gmv"
 
-        for t in range(panel.T):
-            i = t - train
-            try:
-                selection = flt.select()
-                if i >= 0:
-                    mean, B, idio, lam, sig = flt.recouple(selection)
-                    asset_mean[i] = mean
-                    if collect_weights:
-                        asset_covariance(B, sig, idio, out=cov)
-                        mu = pf.momentum_signal(flt.R, t) if momentum else mean
-                        weights[i] = _solve_weights(config, mu, cov,
-                                                    weights[i - 1] if i > 0 else None).w
-                lpd_t = flt.update_step(t, selection)
-                if i >= 0:
-                    lpd_series[i] = lpd_t
-                    if not collect_weights:
-                        fac_mean[i], fac_cov[i], ord_lp[i] = lam, sig, flt.ordering_log_probs
-                        inclusion[i] = flt.inclusion()
-            except RiskcastError as exc:
-                raise type(exc)(f"date {panel.dates[t]}: {exc}") from exc
-    finally:
-        flt.close()
+    for t in range(panel.T):
+        i = t - train
+        try:
+            selection = flt.select()
+            if i >= 0:
+                mean, B, idio, lam, sig = flt.recouple(selection)
+                asset_mean[i] = mean
+                if collect_weights:
+                    asset_covariance(B, sig, idio, out=cov)
+                    mu = pf.momentum_signal(flt.R, t) if momentum else mean
+                    weights[i] = _solve_weights(config, mu, cov,
+                                                weights[i - 1] if i > 0 else None).w
+            lpd_t = flt.update_step(t, selection)
+            if i >= 0:
+                lpd_series[i] = lpd_t
+                if not collect_weights:
+                    fac_mean[i], fac_cov[i], ord_lp[i] = lam, sig, flt.ordering_log_probs
+                    inclusion[i] = flt.inclusion()
+        except RiskcastError as exc:
+            raise type(exc)(f"date {panel.dates[t]}: {exc}") from exc
 
     return StatsResult(
         lpd=float(lpd_series.sum()), acc=pf.hit_rate(asset_mean, flt.R[train:]),

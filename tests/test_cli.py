@@ -191,8 +191,8 @@ class TestReadConfig:
         with pytest.raises(FormatError):
             read_config(cfg)
 
-    @pytest.mark.parametrize("line", ["tau = abc", 'threads = "two"', "tc = 5",
-                                      "tc = [5, \"x\"]", "sparsity = 1", "threads = 2.5"])
+    @pytest.mark.parametrize("line", ["tau = abc", 'train_len = "two"', "tc = 5",
+                                      "tc = [5, \"x\"]", "sparsity = 1", "train_len = 2.5"])
     def test_value_of_the_wrong_type_rejected(self, tmp_path, line):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 1\n" + line + "\n")   # an int passes as a float

@@ -176,7 +176,6 @@ class TestBatchedKernelEquivalence:
             flt.update_step(t, flt.select())
             for grp in flt.asset_groups + flt.factor_groups:
                 assert np.max(np.abs(grp.C - np.swapaxes(grp.C, -1, -2))) == 0.0
-        flt.close()
 
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(17)
@@ -258,7 +257,6 @@ class TestBatchedKernelEquivalence:
                     np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-13)
                     np.testing.assert_allclose(sig, sig_ref, rtol=0, atol=1e-13)
             flt.update_step(t, selection)
-        flt.close()
 
     def test_batched_asset_moments_match_reference(self):
         rng = np.random.default_rng(2)
@@ -335,7 +333,6 @@ class TestBatchedKernelEquivalence:
                 for name in ("m", "C", "s"):
                     np.testing.assert_allclose(getattr(grp, name), getattr(ref, name),
                                                rtol=1e-12, atol=0)
-        flt.close()
 
     @pytest.mark.parametrize("K", [3, 5])
     def test_stacked_asset_pools_match_one_group_per_mask(self, K):
@@ -376,7 +373,6 @@ class TestBatchedKernelEquivalence:
             lp = cfg.alpha * lp + np.concatenate(dens, axis=1)
             lp -= scipy_logsumexp(lp, axis=1, keepdims=True)
             np.testing.assert_allclose(flt.asset_log_probs().T, lp, rtol=0, atol=1e-12)
-        flt.close()
 
 
     def test_asset_covariance_into_buffers_matches_the_allocating_form(self):
@@ -479,7 +475,6 @@ class TestComposedOracle:
                     states[j, mi] = dlm.update(prior, Freg, float(panel.R[t, j]))
             expected = cum - scipy_logsumexp(cum, axis=1, keepdims=True)
             np.testing.assert_allclose(flt.asset_log_probs().T, expected, atol=1e-8)
-        flt.close()
 
 
 class TestEngineInvariants:
@@ -494,18 +489,10 @@ class TestEngineInvariants:
             for ta, tb in zip(a.per_tc, b.per_tc):
                 np.testing.assert_array_equal(ta.net, tb.net)
                 assert ta.fees_bps == tb.fees_bps
-
-    def test_parallel_serial_identical(self):
-        panel = small_panel(seed=6, N=8, K=2, T=90, train=30)
-        base = RunConfig(strategy="gmv")
-        r1 = run_backtest(panel, base)
-        r4 = run_backtest(panel, RunConfig(strategy="gmv", threads=4))
-        np.testing.assert_array_equal(r1.rows[0].gross, r4.rows[0].gross)
-        np.testing.assert_array_equal(r1.rows[0].turnover, r4.rows[0].turnover)
-        s1 = run_statistics_only(panel, base)
-        s4 = run_statistics_only(panel, RunConfig(strategy="gmv", threads=4))
-        np.testing.assert_array_equal(s1.lpd_series, s4.lpd_series)
-        np.testing.assert_array_equal(s1.inclusion, s4.inclusion)
+        s1 = run_statistics_only(panel, cfg)
+        s2 = run_statistics_only(panel, cfg)
+        assert s1.lpd_series.tobytes() == s2.lpd_series.tobytes()
+        assert s1.inclusion.tobytes() == s2.inclusion.tobytes()
 
     def test_no_look_ahead(self):
         panel = small_panel(seed=7, N=4, K=2, T=100, train=40)
@@ -563,8 +550,6 @@ class TestEngineInvariants:
                             eager.asset_groups + eager.factor_groups):
                 for name in ("_m", "_C", "_s", "n"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        lazy.close()
-        eager.close()
 
     def test_asset_log_probs_round_trip(self):
         # stored as (masks x P, N): a row per spec (mask in flt.masks order,
@@ -589,7 +574,6 @@ class TestEngineInvariants:
         np.testing.assert_array_equal(sel_assets, np.argmax(new, axis=0))
         forgotten = flt.config.alpha * new
         assert np.array_equal(flt.asset_log_weights, forgotten - forgotten[sel_assets, np.arange(4)])
-        flt.close()
 
     def test_stats_match_backtest_lpd(self):
         panel = small_panel(seed=9)
@@ -773,10 +757,22 @@ class TestEngineBehaviors:
         (dict(strategy="constrained", max_weight=-0.05), "max_weight"),
         (dict(periods_per_year=0), "periods_per_year"),
         (dict(factor_set=(0, 0)), "factor_set"),
+        (dict(tc_bps=()), "tc_bps"),
+        (dict(delta_grid=(0.99, 0.99)), "delta_grid"),
+        (dict(kappa_r_grid=(1.0, 0.99, 1.0)), "kappa_r_grid"),
+        (dict(kappa_f_grid=(0.999, 0.999)), "kappa_f_grid"),
+        (dict(benchmarks=("efm", "ew", "efm")), "benchmarks"),
+        (dict(fee_reference="bogus"), "unknown fee reference 'bogus'"),
+        (dict(tc_bps=(5.0, 0.0, 5.0)), "tc_bps"),
+        (dict(gamma=(5.0, 5.0)), "gamma"),
     ])
     def test_bad_run_settings_rejected_before_filtering(self, settings, match):
         # a misspelt comparison model or a non-positive box used to surface
         # only after the whole model run; zero periods per year divided by zero;
-        # a factor named twice was used as two factors
+        # a factor named twice was used as two factors; no cost level wrote a
+        # results file with no table; a repeated discount doubled its specs'
+        # prior mass; a repeated benchmark or cost level gave two identical rows
+        # or blocks; a repeated gamma kept one fee; a fee reference that names
+        # no model gave no fees
         with pytest.raises(ParameterError, match=match):
             RunConfig(**settings)

@@ -214,8 +214,6 @@ class TestUnnormalizedAssetTable:
         lw = flt.asset_log_weights
         assert np.array_equal(lw[sel_assets, np.arange(4)], np.zeros(4))
         assert np.array_equal(lw.max(axis=0), np.zeros(4))
-        flt.close()
-        ref.close()
 
 
 class TestSelectBest:
