@@ -11,9 +11,9 @@ its prior variance s0 (West & Harrison 1997, sec. 16.4; Prado & West 2010,
 sec. 4.3).  Under variance discounting the scale-free covariance C* = C / s
 then starts at c0 I and evolves through the regressor row and delta alone:
 the data, s0 and kappa enter only s and the degrees of freedom n, and n,
-which ignores the data (n <- kappa n + 1), is kept once per spec.  So the
-members of a pool that regress on one row, a group per parent mask, share
-one C* per delta: ``_C`` is (d, d, Pd, G) for G groups, ``_m`` (d, Pd, b)
+which ignores the data and delta (n <- kappa n + 1), is kept once per kappa.
+So the members of a pool that regress on one row, a group per parent mask,
+share one C* per delta: ``_C`` is (d, d, Pd, G) for G groups, ``_m`` (d, Pd, b)
 and ``_s`` (Pd, Pk, b) for Pd deltas and Pk kappas.  Equations are the
 contiguous innermost axis, so elementwise passes run over rows of b.  The
 recursions are those of the ``dlm`` module; the test suite asserts
@@ -60,22 +60,24 @@ class PoolGroup:
     members (by default one per member), and every member of group g
     regresses on row g of the F (groups, d) given to ``forecast``.  ``deltas``
     and ``kappas`` are the two discount grids.  Their P = Pd * Pk pairs are the
-    specs, numbered p = i_delta * Pk + i_kappa; n and r are (P,).
+    specs, numbered p = i_delta * Pk + i_kappa.  The dof recursion
+    n <- kappa n + 1 ignores delta and the data, so n and r = kappa n are (Pk,):
+    spec p reads entry p % Pk.
 
     With regressor F and e = y - F'm, one step is, once per delta and group,
         q* = 1 + F'C*F / delta,   A = C*F / (delta q*),   C* <- C* / delta - A A' q*,
     once per delta and member m <- m + A e, and once per (delta, kappa) and
-    member, with q = q* s_prev the forecast variance, z = (r + e^2 / q) / (r + 1)
+    member, with q = q* s the forecast variance, z = (r + e^2 / q) / (r + 1)
     and s <- s z.  Writing C = C* s, these are the ``dlm`` recursions of every
     spec, from m = 0, C = c0 s0 I, s = s0 and n = n0.
 
     The evolution has identity transition, so it moves nothing: the prior
     mean is m and the prior scale R is C / delta, which ``forecast`` and
     ``update`` fold in instead of materializing.  ``update`` advances the
-    state in place, so ``s_prev`` (an alias of ``_s``) holds the prior scale
-    only between ``evolve`` and ``update``.  C* stays exactly symmetric: the
-    update scales it elementwise and subtracts (A_i A_j) q*, the same product
-    at (i, j) and (j, i).
+    state in place, so ``_s`` holds the prior scale only between ``evolve``
+    and ``update``.  C* stays exactly symmetric: the update scales it
+    elementwise and subtracts (A_i A_j) q*, the same product at (i, j) and
+    (j, i).
 
     ``m``, ``C`` and ``s`` return the state per spec, as (b, P, d),
     (b, P, d, d) and (b, P) arrays; the first two are copies.
@@ -91,18 +93,16 @@ class PoolGroup:
         self.n_eq = n_eq
         self.groups = G = n_eq if groups is None else groups
         self._delta = self.deltas[:, None]          # broadcasts over (Pd, b) and (Pd, G)
-        self._kappa = np.tile(self.kappas, n_d)     # per spec
         self._m = np.zeros((d, n_d, n_eq))
         self._m_grouped = self._m.reshape(d, n_d, G, n_eq // G)     # a view
         self._s_grouped = (n_d, n_k, G, n_eq // G)
         self._C = np.zeros((d, d, n_d, G))
         self._C[np.arange(d), np.arange(d)] = c0
         self._s = np.broadcast_to(np.asarray(s0, float), (n_d, n_k, n_eq)).copy()
-        self.n = np.full(self.P, n0)
-        # evolved prior quantities, populated by evolve()
-        self.r = self._r = None     # r per spec (P,), and as (Pd, Pk, 1)
-        self._r_shape = (n_d, n_k, 1)
-        self.s_prev = self._lt = None   # prior scale; Student-t log constant per spec
+        self.n = np.full(n_k, n0)
+        # evolved prior quantities, populated by evolve(): r per kappa (Pk,), then r
+        # and the Student-t log constant as (Pk, 1), which broadcast over (Pd, Pk, b)
+        self.r = self._r = self._lt = None
         self._CF = self._qs = self._e = self._u = None  # consumed by update()
 
     @property
@@ -119,12 +119,11 @@ class PoolGroup:
         return self._s.reshape(self.P, self.n_eq).T
 
     def evolve(self) -> None:
-        self.r = self._kappa * self.n
-        self._r = r = self.r.reshape(self._r_shape)
-        # P values, so math.lgamma serves, and scipy.special need not load
+        self.r = self.kappas * self.n
+        self._r = r = self.r[:, None]
+        # Pk values, so math.lgamma serves, and scipy.special need not load
         lg = np.array([math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) for x in self.r.tolist()])
-        self._lt = lg.reshape(self._r_shape) - 0.5 * np.log(r * np.pi)
-        self.s_prev = self._s
+        self._lt = lg[:, None] - 0.5 * np.log(r * np.pi)
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b), given each
@@ -136,8 +135,8 @@ class PoolGroup:
             raise NumericError("non-positive forecast variance in batched filter")
         self._CF, self._qs = CF, qs
         f = (self._m_grouped * Ft[..., None]).sum(axis=0)
-        q = qs[:, None, :, None] * self.s_prev.reshape(self._s_grouped)
-        return f.reshape(-1, 1, self.n_eq), q.reshape(self.s_prev.shape)
+        q = qs[:, None, :, None] * self._s.reshape(self._s_grouped)
+        return f.reshape(-1, 1, self.n_eq), q.reshape(self._s.shape)
 
     def log_densities(self, y, f, q) -> np.ndarray:
         """Student-t log predictive densities of y under (f, q), (b, P)."""
@@ -165,16 +164,15 @@ class PoolGroup:
         self.n = self.r + 1.0
 
     def selected(self, members: np.ndarray, p_idx: np.ndarray):
-        """Gather the evolved prior of chosen members: (a, R, r, s_prev).
-
-        ``p_idx`` is the spec of each member; R = C* s_prev / delta.
+        """Gather the evolved prior of chosen members: (a, R, r, s), s the
+        prior scale.  ``p_idx`` is the spec of each member; R = C* s / delta.
         """
-        di = p_idx // self.kappas.size
-        s_prev = self.s_prev.reshape(self.P, self.n_eq)[p_idx, members]
+        di, ki = np.divmod(p_idx, self.kappas.size)
+        s = self._s.reshape(self.P, self.n_eq)[p_idx, members]
         a = self._m[:, di, members].T
         R = (self._C[:, :, di, members // (self.n_eq // self.groups)].transpose(2, 0, 1)
-             * (s_prev / self.deltas[di])[:, None, None])
-        return a, R, self.r[p_idx], s_prev
+             * (s / self.deltas[di])[:, None, None])
+        return a, R, self.r[ki], s
 
 
 def _regression_moments(SXX, a, R, r, s):

@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     shared.add_argument("--config", help="key = value config file")
     shared.add_argument("--assets", help="asset return CSV")
     shared.add_argument("--factors", help="factor return CSV")
-    shared.add_argument("--strategy", choices=["mvp", "gmv", "constrained"])
+    shared.add_argument("--strategy", choices=["mvp", "gmv"])
     shared.add_argument("--tau", type=float, help="annual return target")
     shared.add_argument("--bound", type=float, help="max absolute weight")
     shared.add_argument("--tc", type=float, nargs="+", help="transaction costs, bps")

@@ -14,18 +14,20 @@ forget-then-Bayes recursion of the model probabilities.  Factor moments are
 averaged over orderings, not selected: the mixture's E[x x'], x = (1, factors),
 is the probability-weighted average of each ordering's (law of total variance).
 
-The filter keeps three tables of log model probabilities, forgotten in place by
-``select`` (so it runs once per date) and Bayes-updated in place by ``update_step``:
-``asset_log_weights`` (masks x P, N), a row per spec (parent mask, delta, kappa) and
-a column per asset; ``factor_log_probs`` (equations, P_f); ``ordering_log_probs``.
+The filter keeps three tables of log model probabilities: ``asset_log_weights``
+(masks x P, N), a row per spec (parent mask, delta, kappa) and a column per asset;
+``factor_log_weights`` (equations, P_f); ``ordering_log_weights`` (orderings,).
 The recursion p_t ~ p_{t-1}^alpha f_t (Raftery, Karny & Ettler 2010) needs its
-normalizer only where probabilities are read, and a backtest reads only each
-asset's argmax, which a per-asset constant cannot move.  So the asset table is
-never renormalized: it holds the log probabilities exact up to a per-asset
-constant, and ``asset_log_probs()`` normalizes a copy on read, as ``inclusion``
-does.  ``select`` subtracts each asset's selected, largest entry, so the table
-stays as bounded as a normalized one when alpha = 1.  The factor and ordering
-tables are renormalized in place on every update.
+normalizer only where a probability is read, so all three follow one rule.  Each
+is stored exact up to a constant per slice over its specs and is never
+renormalized.  ``select`` forgets each table in place (so it runs once per date),
+takes each slice's argmax, which that constant cannot move, and shifts the slice
+so that its selected, largest entry is 0, which keeps the table as bounded as a
+normalized one when alpha = 1; ``update_step`` only adds the date's log
+densities.  A reader normalizes a copy: ``asset_log_probs()``, which ``inclusion``
+reads, and ``ordering_log_probs()``, the mixture weights of ``recouple``.  A
+backtest reads the factor and asset tables only through their argmaxes, so it
+normalizes once per evaluation date, for the mixture.
 
 One scoring loop turns the (mean, covariance) that each comparison row's
 predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
@@ -98,7 +100,7 @@ class RunConfig:
     ordering: str = "learn"                 # "learn" | "fixed"
     ordering_cap: int = ORDERING_CAP        # caps the factor count K, not the K! orderings
     sparsity: bool = True
-    strategy: str = "mvp"                   # "mvp" | "gmv" | "constrained"
+    strategy: str = "mvp"                   # "mvp" | "gmv"
     max_weight: float | None = None
     tau_annual: float = 0.10
     tc_bps: tuple[float, ...] = (5.0,)
@@ -119,7 +121,7 @@ class RunConfig:
             raise ParameterError("forgetting factors must lie in (0, 1]")
         if self.ordering not in ("learn", "fixed"):
             raise ParameterError(f"unknown ordering mode {self.ordering!r}")
-        if self.strategy not in ("mvp", "gmv", "constrained"):
+        if self.strategy not in ("mvp", "gmv"):
             raise ParameterError(f"unknown strategy {self.strategy!r}")
         if self.mean_signal not in ("model", "momentum"):
             raise ParameterError(f"unknown mean signal {self.mean_signal!r}")
@@ -136,6 +138,8 @@ class RunConfig:
             raise ParameterError("transaction costs must be >= 0")
         if any(g <= 0 for g in self.gamma):
             raise ParameterError("risk aversions must be > 0")
+        if not self.gamma and self.fee_reference != "none":
+            raise ParameterError("gamma must name a risk aversion unless fee_reference is 'none'")
         if self.periods_per_year < 1:
             raise ParameterError("periods_per_year must be >= 1")
         # a repeated discount doubles its specs' prior mass, a repeated benchmark or
@@ -150,12 +154,6 @@ class RunConfig:
     def tau_periodic(self) -> float:
         return self.tau_annual / self.periods_per_year
 
-    @property
-    def box_bound(self) -> float | None:
-        if self.strategy == "constrained":
-            return self.max_weight if self.max_weight is not None else 0.05
-        return self.max_weight
-
     def header(self) -> dict:
         return {
             "model": MODEL_NAME,
@@ -163,7 +161,7 @@ class RunConfig:
             "tau_annual": self.tau_annual,
             "tau_conversion": "annual/periods_per_year",
             "turnover_first_period": "excluded",
-            "max_weight": self.box_bound,
+            "max_weight": self.max_weight,
             "alpha": self.alpha,
             "alpha_ord": self.alpha_ord,
             "ordering": self.ordering,
@@ -210,9 +208,19 @@ def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     return out if keepdims else np.squeeze(out, axis=axis)[()]
 
 
-def _normalize(lp: np.ndarray, axis: int) -> None:
-    """Renormalize log probabilities over ``axis``, in place."""
-    lp -= logsumexp(lp, axis=axis, keepdims=True)
+def _forget_select(log_weights: np.ndarray, alpha: float, axis: int):
+    """Forget a table of log weights in place (times ``alpha``), pick each
+    slice's largest entry over the specs on ``axis``, and shift the slice so
+    that the picked entry is 0; returns the picks."""
+    log_weights *= alpha
+    sel = np.argmax(log_weights, axis=axis, keepdims=True)
+    log_weights -= np.take_along_axis(log_weights, sel, axis)
+    return sel.squeeze(axis)
+
+
+def _log_probs(log_weights: np.ndarray, axis: int) -> np.ndarray:
+    """A table of log weights normalized over the specs on ``axis``: a new array."""
+    return log_weights - logsumexp(log_weights, axis=axis, keepdims=True)
 
 
 class _DynamicFactorFilter:
@@ -248,7 +256,7 @@ class _DynamicFactorFilter:
             perms = list(itertools.permutations(range(K)))     # lexicographic
         self.perms = np.array(perms, dtype=int)
         self.n_ord = len(perms)
-        self.ordering_log_probs = np.full(self.n_ord, -np.log(self.n_ord))
+        self.ordering_log_weights = np.zeros(self.n_ord)     # each table starts uniform
 
         # asset block: the masks are ordered by parent count, so a pool holds
         # the (mask, asset) members of consecutive masks, mask-major (asset j
@@ -264,7 +272,7 @@ class _DynamicFactorFilter:
             self.masks[mi], 1 + K + j, config.kappa_r_grid,
             lambda rec: s0[rec[..., -1].ravel() - 1 - K])
         n_specs = len(self.masks) * self.P_r
-        self.asset_log_weights = np.full((n_specs, N), -np.log(n_specs))
+        self.asset_log_weights = np.zeros((n_specs, N))
         self._assets = np.arange(N)
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
                                       axis=0).astype(float)
@@ -287,7 +295,7 @@ class _DynamicFactorFilter:
         self.factor_start = np.cumsum([0] + [g.n_eq for g in self.factor_groups[:-1]])
         row = {eq: e for e, eq in enumerate(factor_eqs)}
         self.factor_eq = np.array([[row[eq] for eq in pos] for pos in eqs])
-        self.factor_log_probs = np.full((len(factor_eqs), self.P_f), -np.log(self.P_f))
+        self.factor_log_weights = np.zeros((len(factor_eqs), self.P_f))
         self.factor_offsets = moment_offsets([
             rec[eq - st] for rec, eq, st in zip(self.factor_eqs, self.factor_eq, self.factor_start)])
 
@@ -323,37 +331,29 @@ class _DynamicFactorFilter:
         """Evolve, forget the filter's three tables in place (so once per date), and
         pick the specs of highest forgotten probability: (row of the (masks x P, N)
         asset table per asset, column of the (equations, P_f) factor table per
-        equation).  The argmax is taken on the stored asset table, exact up to a
-        per-asset constant, which it ignores; each asset's column is then shifted
-        so that its selected entry is 0.  Only the orderings, ``recouple``'s
-        mixture weights, are renormalized."""
+        equation).  Each table's picked entries are shifted to 0."""
         cfg = self.config
         for grp, *_ in self.pools:
             grp.evolve()
-        self.factor_log_probs *= cfg.alpha
-        sel_f = np.argmax(self.factor_log_probs, axis=1)
-        self.ordering_log_probs *= cfg.alpha_ord
-        _normalize(self.ordering_log_probs, axis=-1)
-        lw = self.asset_log_weights
-        lw *= cfg.alpha
-        sel_assets = np.argmax(lw, axis=0)
-        lw -= lw[sel_assets, self._assets]
-        # the pools of a block share r = kappa n
+        sel_f = _forget_select(self.factor_log_weights, cfg.alpha, axis=1)
+        _forget_select(self.ordering_log_weights, cfg.alpha_ord, axis=0)
+        sel_assets = _forget_select(self.asset_log_weights, cfg.alpha, axis=0)
+        # the pools of a block share r = kappa n, one per kappa: spec p reads p % Pk
         for block, grp, p_idx in (("factor", self.factor_groups[0], sel_f),
-                                  ("asset", self.asset_groups[0], sel_assets % self.P_r)):
-            if np.any(grp.r[p_idx] <= DOF_FLOOR):
+                                  ("asset", self.asset_groups[0], sel_assets)):
+            if np.any(grp.r[p_idx % grp.kappas.size] <= DOF_FLOOR):
                 warnings.warn(f"{block} equation degrees of freedom at the floor", RuntimeWarning)
         return sel_assets, sel_f
 
     def recouple(self, selection):
         """Predictive (asset mean, B, idio, factor mean, factor cov) of a selection,
-        mixed over the ``ordering_log_probs`` that ``select`` left; writes no state."""
+        mixed over the ordering probabilities that ``select`` left; writes no state."""
         sel_assets, sel_f = selection
         a_sel, R_sel, r_sel, s_sel = zip(*(
             grp.selected(eq - st, sel_f[eq])
             for grp, eq, st in zip(self.factor_groups, self.factor_eq, self.factor_start)))
         S = recursive_factor_moments(self.factor_offsets, a_sel, R_sel, r_sel, s_sel)
-        lam, sig = mixture_factor_moments(self.ordering_log_probs, S)
+        lam, sig = mixture_factor_moments(self.ordering_log_probs(), S)
         mask_idx, p_idx = np.divmod(sel_assets, self.P_r)
         mean, B, idio = batched_asset_moments(self.asset_groups, self.asset_eqs,
                                               mask_idx * self.N + np.arange(self.N), p_idx, lam, sig)
@@ -361,10 +361,9 @@ class _DynamicFactorFilter:
 
     def update_step(self, t: int, selection) -> float:
         """Observe date t, update the states, and add the date's log densities to
-        the three tables that ``select`` forgot: the factors' (equations, P_f) and
-        the orderings, each renormalized in place over its specs, and the assets'
-        (masks x P, N), left exact up to a per-asset constant.  Returns the
-        asset-block log predictive density of the selected models."""
+        the three tables that ``select`` forgot: the factors' (equations, P_f), the
+        orderings' and the assets' (masks x P, N).  Returns the asset-block log
+        predictive density of the selected models."""
         sel_assets, sel_f = selection
         z = np.concatenate((self.X[t], self.R[t]))
         dens = []
@@ -375,10 +374,8 @@ class _DynamicFactorFilter:
         n_a = len(self.asset_groups)
         dens_f = np.concatenate(dens[n_a:])
         joint = dens_f[self.factor_eq, sel_f[self.factor_eq]].sum(axis=0)
-        self.factor_log_probs += dens_f
-        _normalize(self.factor_log_probs, axis=-1)
-        self.ordering_log_probs += joint
-        _normalize(self.ordering_log_probs, axis=-1)
+        self.factor_log_weights += dens_f
+        self.ordering_log_weights += joint
 
         # a pool's densities (masks x N, P) fill its rows (masks x P, N)
         for block, d in zip(self._dens_blocks, dens[:n_a]):
@@ -388,9 +385,11 @@ class _DynamicFactorFilter:
 
     def asset_log_probs(self) -> np.ndarray:
         """The asset table normalized over its specs: a new (masks x P, N) array."""
-        lp = self.asset_log_weights.copy()
-        _normalize(lp, axis=0)
-        return lp
+        return _log_probs(self.asset_log_weights, axis=0)
+
+    def ordering_log_probs(self) -> np.ndarray:
+        """The ordering table normalized: a new (orderings,) array."""
+        return _log_probs(self.ordering_log_weights, axis=0)
 
     def inclusion(self) -> np.ndarray:
         """Posterior inclusion probability of each factor in each asset's
@@ -431,7 +430,7 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
             if i >= 0:
                 lpd_series[i] = lpd_t
                 if not collect_weights:
-                    fac_mean[i], fac_cov[i], ord_lp[i] = lam, sig, flt.ordering_log_probs
+                    fac_mean[i], fac_cov[i], ord_lp[i] = lam, sig, flt.ordering_log_probs()
                     inclusion[i] = flt.inclusion()
         except RiskcastError as exc:
             raise type(exc)(f"date {panel.dates[t]}: {exc}") from exc
@@ -448,7 +447,7 @@ def _solve_weights(config: RunConfig, mean: np.ndarray, cov: np.ndarray,
                    start: np.ndarray | None) -> pf.WeightVector:
     """Weights for one date under the run's strategy; ``start`` (the previous
     date's weights of the same row) warm-starts the box solve."""
-    bound, tau = config.box_bound, config.tau_periodic
+    bound, tau = config.max_weight, config.tau_periodic
     if config.strategy == "gmv":
         if bound is not None:
             return pf.constrained_weights(cov, bound, start=start)

@@ -271,15 +271,15 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
     raise NumericError("active-set iteration did not converge")
 
 
-def apply_costs(weights: np.ndarray, asset_returns: np.ndarray, tc_bps: float,
-                include_entry_cost: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def apply_costs(weights: np.ndarray, asset_returns: np.ndarray,
+                tc_bps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gross returns, net returns and turnover for a weight history.
 
     ``weights[t]`` is held over period t and earns ``asset_returns[t]``.
     Turnover compares new weights with the previous weights drifted by the
     previous period's realized returns; costs of tc_bps basis points per unit
     of turnover are deducted ex post.  The first period's entry turnover is
-    excluded unless ``include_entry_cost``.
+    excluded.
     """
     W = np.asarray(weights, float)
     R = np.asarray(asset_returns, float)
@@ -288,8 +288,6 @@ def apply_costs(weights: np.ndarray, asset_returns: np.ndarray, tc_bps: float,
     T = W.shape[0]
     gross = np.einsum("ti,ti->t", W, R)
     turnover = np.zeros(T)
-    if include_entry_cost and T > 0:
-        turnover[0] = np.abs(W[0]).sum()
     for t in range(1, T):
         drifted = W[t - 1] * (1.0 + R[t - 1])
         scale = drifted.sum()

@@ -13,8 +13,8 @@ from riskcast import dlm, engine, portfolio as pf, recouple
 from riskcast._batch import (N0, PoolGroup, _ols_residual_variance, asset_covariance,
                              batched_asset_moments, moment_offsets, recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
-from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, logsumexp, run_backtest,
-                             run_statistics_only)
+from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, _log_probs, logsumexp,
+                             run_backtest, run_statistics_only)
 from riskcast.errors import NumericError, ParameterError
 
 
@@ -119,7 +119,11 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
         np.testing.assert_allclose(group.m, ref_m, **tol)
         np.testing.assert_allclose(group.C, ref_C, **tol)
         np.testing.assert_allclose(group.s, ref["s"], **tol)
-        np.testing.assert_allclose(group.n, np.array([st.n for st in states[0]], float),
+        # the dof ignore delta and the data: n is kept per kappa, and every
+        # equation's spec p reads entry p % Pk
+        assert group.n.shape == (len(kappas),)
+        np.testing.assert_allclose(np.broadcast_to(group.n[np.arange(P) % len(kappas)], (3, P)),
+                                   np.array([[st.n for st in row] for row in states], float),
                                    atol=1e-12)
 
 
@@ -544,36 +548,50 @@ class TestEngineInvariants:
                     assert np.array_equal(a, b)
             lazy.update_step(t, sel_lazy)
             eager.update_step(t, sel_eager)
-            for name in ("asset_log_weights", "factor_log_probs", "ordering_log_probs"):
+            for name in ("asset_log_weights", "factor_log_weights", "ordering_log_weights"):
                 assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
             for a, b in zip(lazy.asset_groups + lazy.factor_groups,
                             eager.asset_groups + eager.factor_groups):
                 for name in ("_m", "_C", "_s", "n"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    def test_asset_log_probs_round_trip(self):
-        # stored as (masks x P, N): a row per spec (mask in flt.masks order,
-        # then delta, then kappa) and a column per asset, exact up to a
-        # per-asset constant; asset_log_probs() normalizes a copy over the
-        # specs, and select forgets the stored table in place and shifts each
-        # column so that its selected entry is 0
+    @pytest.mark.parametrize("table", ["asset", "factor", "ordering"])
+    def test_log_probs_round_trip(self, table):
+        # each table is stored exact up to a constant per slice over its specs:
+        # the assets' (masks x P, N), a row per spec (mask in flt.masks order,
+        # then delta, then kappa) and a column per asset, the factors'
+        # (equations, P_f) and the orderings' (orderings,).  The reader
+        # normalizes a copy over the specs, and select forgets the stored table
+        # in place and shifts each slice so that its selected entry is 0
         panel = small_panel(seed=26, N=4, K=3, T=30, train=20)
-        flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed"))
+        cfg = RunConfig(ordering="learn")
+        flt = _DynamicFactorFilter(panel, cfg)
+        name = f"{table}_log_weights"
+        axis = 1 if table == "factor" else 0
+        alpha = cfg.alpha_ord if table == "ordering" else cfg.alpha
+        shape = {"asset": (len(flt.masks) * flt.P_r, 4), "factor": (3 * 2 ** 2, flt.P_f),
+                 "ordering": (6,)}[table]
+        read = {"asset": flt.asset_log_probs, "ordering": flt.ordering_log_probs,
+                "factor": lambda: _log_probs(flt.factor_log_weights, axis=1)}[table]
         for t in range(5):
             flt.update_step(t, flt.select())
-            stored = flt.asset_log_weights.copy()
-            lp = flt.asset_log_probs()
-            assert lp.shape == stored.shape == (len(flt.masks) * flt.P_r, 4)
-            np.testing.assert_allclose(np.exp(lp).sum(axis=0), 1.0, rtol=0, atol=1e-12)
-            assert np.array_equal(flt.asset_log_weights, stored)
+            stored = getattr(flt, name).copy()
+            lp = read()
+            assert lp.shape == stored.shape == shape
+            np.testing.assert_allclose(np.exp(lp).sum(axis=axis), 1.0, rtol=0, atol=1e-12)
+            assert np.array_equal(getattr(flt, name), stored)
             shift = lp - stored
-            np.testing.assert_allclose(shift - shift[0], 0.0, rtol=0, atol=1e-12)
-        new = np.random.default_rng(27).normal(size=lp.shape)
-        flt.asset_log_weights = new.copy()
-        sel_assets, _ = flt.select()
-        np.testing.assert_array_equal(sel_assets, np.argmax(new, axis=0))
-        forgotten = flt.config.alpha * new
-        assert np.array_equal(flt.asset_log_weights, forgotten - forgotten[sel_assets, np.arange(4)])
+            np.testing.assert_allclose(shift - shift.take([0], axis=axis), 0.0, rtol=0, atol=1e-12)
+        new = np.random.default_rng(27).normal(size=shape)
+        setattr(flt, name, new.copy())
+        returned = dict(zip(("asset", "factor"), flt.select()))
+        forgotten = alpha * new
+        sel = np.expand_dims(np.argmax(new, axis=axis), axis)
+        if table in returned:
+            np.testing.assert_array_equal(np.expand_dims(returned[table], axis), sel)
+        lw = getattr(flt, name)
+        assert np.array_equal(lw, forgotten - np.take_along_axis(forgotten, sel, axis))
+        assert np.all(np.take_along_axis(lw, sel, axis) == 0.0)
 
     def test_stats_match_backtest_lpd(self):
         panel = small_panel(seed=9)
@@ -594,6 +612,21 @@ class TestEngineInvariants:
         monkeypatch.setattr(_DynamicFactorFilter, "inclusion", fail)
         report = run_backtest(small_panel(seed=9), RunConfig(strategy="gmv"))
         assert np.isfinite(report.rows[0].lpd)
+
+    def test_backtest_normalizes_once_per_evaluation_date(self, monkeypatch):
+        # the tables are normalized only where read, and a backtest reads the
+        # ordering probabilities alone, as recouple's mixture weights
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return logsumexp(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "logsumexp", counted)
+        panel = small_panel(seed=9, K=3)
+        report = run_backtest(panel, RunConfig(strategy="gmv"))
+        assert np.isfinite(report.rows[0].lpd)
+        assert calls == [(6,)] * (panel.T - panel.train_len)
 
     @pytest.mark.parametrize("cov, match", [
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "not finite"),
@@ -754,7 +787,7 @@ class TestEngineBehaviors:
     @pytest.mark.parametrize("settings, match", [
         (dict(benchmarks=("ewma97", "wdml")), "unknown benchmark 'wdml'"),
         (dict(max_weight=0.0), "max_weight"),
-        (dict(strategy="constrained", max_weight=-0.05), "max_weight"),
+        (dict(max_weight=-0.05), "max_weight"),
         (dict(periods_per_year=0), "periods_per_year"),
         (dict(factor_set=(0, 0)), "factor_set"),
         (dict(tc_bps=()), "tc_bps"),
@@ -765,6 +798,8 @@ class TestEngineBehaviors:
         (dict(fee_reference="bogus"), "unknown fee reference 'bogus'"),
         (dict(tc_bps=(5.0, 0.0, 5.0)), "tc_bps"),
         (dict(gamma=(5.0, 5.0)), "gamma"),
+        (dict(strategy="constrained", max_weight=0.05), "unknown strategy 'constrained'"),
+        (dict(gamma=(), benchmarks=("ew",), fee_reference="ew", strategy="gmv"), "gamma"),
     ])
     def test_bad_run_settings_rejected_before_filtering(self, settings, match):
         # a misspelt comparison model or a non-positive box used to surface
@@ -773,6 +808,8 @@ class TestEngineBehaviors:
         # results file with no table; a repeated discount doubled its specs'
         # prior mass; a repeated benchmark or cost level gave two identical rows
         # or blocks; a repeated gamma kept one fee; a fee reference that names
-        # no model gave no fees
+        # no model gave no fees; "constrained" was "mvp" with a box, which
+        # max_weight sets; an empty gamma with a fee reference ran the model,
+        # then wrote no fees
         with pytest.raises(ParameterError, match=match):
             RunConfig(**settings)

@@ -1,11 +1,11 @@
 """Factor ordering enumeration, probabilities and moment mixing.
 
 The filter's set-up enumerates the orderings.  The ordering probabilities run
-the engine's forget-then-Bayes recursion on the filter's ``ordering_log_probs``,
-in place: ``select`` forgets them with ``alpha_ord`` and renormalizes, so
-``recouple`` reads them there as the mixture weights, and ``update_step`` adds
-each ordering's joint factor density and renormalizes, both with
-``_normalize``.
+the engine's forget-then-Bayes recursion on the filter's
+``ordering_log_weights``, in place and unnormalized: ``select`` forgets them
+with ``alpha_ord`` and shifts the largest entry to 0, and ``update_step`` adds
+each ordering's joint factor density.  ``ordering_log_probs()`` normalizes a
+copy on read, which ``recouple`` reads as the mixture weights.
 """
 
 import itertools
@@ -18,18 +18,18 @@ from test_engine import small_panel
 
 from riskcast import dlm
 from riskcast._batch import mixture_factor_moments
-from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _forget_select, _log_probs
 from riskcast.errors import CapacityError
 from riskcast.recouple import to_canonical
 
 
 def update_ordering_probs(log_probs, log_densities, alpha_ord):
-    """The engine's two steps on given ordering densities: forget, then Bayes."""
-    lp = alpha_ord * np.asarray(log_probs, float)
-    _normalize(lp, -1)
-    lp += log_densities
-    _normalize(lp, -1)
-    return lp
+    """The engine's two steps on given ordering densities, forget, then Bayes,
+    read normalized."""
+    lw = np.array(log_probs, float)
+    _forget_select(lw, alpha_ord, axis=0)
+    lw += log_densities
+    return _log_probs(lw, axis=0)
 
 
 def factor_panel(K, seed=0):
@@ -62,7 +62,7 @@ class TestUpdateOrderingProbs:
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", alpha_ord=0.99))
         for t in range(5):
             flt.update_step(t, flt.select())
-            assert flt.ordering_log_probs.tolist() == [0.0]
+            assert flt.ordering_log_probs().tolist() == [0.0]
 
     def test_identical_densities_are_neutral(self):
         start = np.log([0.25, 0.25, 0.5])
@@ -101,7 +101,7 @@ class TestUpdateOrderingProbs:
                     prior = dlm.evolve(states[o, j], 1.0, 1.0)
                     cum[o] += dlm.log_predictive_density(dlm.forecast(prior, F), y)
                     states[o, j] = dlm.update(prior, F, y)
-            np.testing.assert_allclose(flt.ordering_log_probs, cum - logsumexp(cum), atol=1e-8)
+            np.testing.assert_allclose(flt.ordering_log_probs(), cum - logsumexp(cum), atol=1e-8)
 
     def test_learned_moments_mix_the_fixed_orderings(self):
         # every ordering of a learned filter runs like a fixed-ordering filter
@@ -128,7 +128,7 @@ class TestUpdateOrderingProbs:
                 covs.append(cov_o)
                 flt.update_step(t, sel_o)
             # law of total mean and variance over the forgotten ordering probabilities
-            p = np.exp(learned.ordering_log_probs)
+            p = np.exp(learned.ordering_log_probs())
             lam_mix = p @ np.array(means)
             dev = np.array(means) - lam_mix
             sig_mix = (np.einsum("o,oij->ij", p, np.array(covs))
@@ -227,5 +227,5 @@ class TestCanonicalMapping:
     def test_forget_uniform_fixed_point(self):
         flt = _DynamicFactorFilter(factor_panel(K=3), RunConfig(ordering="learn", alpha_ord=0.9))
         flt.select()
-        lp_ord_pred = flt.ordering_log_probs
+        lp_ord_pred = flt.ordering_log_probs()
         np.testing.assert_allclose(lp_ord_pred, np.full(6, -np.log(6)), atol=1e-14)

@@ -289,8 +289,6 @@ class TestApplyCosts:
         R = np.zeros((1, 2))
         _, _, to = apply_costs(W, R, 5.0)
         assert to[0] == 0.0
-        _, _, to = apply_costs(W, R, 5.0, include_entry_cost=True)
-        assert to[0] == pytest.approx(1.0)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)

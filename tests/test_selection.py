@@ -1,14 +1,14 @@
 """Model spaces and dynamic model probabilities, as the engine runs them.
 
 The filter stores the asset table ``asset_log_weights`` as (masks x P, N), a
-row per spec and a column per asset, and the factor table as (equations, P).
-``select`` forgets both in place (times alpha), leaving them unnormalized;
-``update_step`` adds the kernel's one-step predictive densities to both and
-renormalizes the factor table in place with ``_normalize``.  The asset table
-stays exact up to a per-asset constant, and the tests read it normalized,
-through ``asset_log_probs()``.  The tests drive ``_DynamicFactorFilter`` where
-the densities can come from the filters themselves, and ``_normalize`` where
-they are given.
+row per spec and a column per asset, and the factor table
+``factor_log_weights`` as (equations, P).  ``select`` forgets both in place
+(times alpha) and shifts each selected entry to 0; ``update_step`` adds the
+kernel's one-step predictive densities to both.  Neither is renormalized: each
+stays exact up to a constant per asset or equation, and the tests read the
+asset table normalized, through ``asset_log_probs()``.  The tests drive
+``_DynamicFactorFilter`` where the densities can come from the filters
+themselves, and the engine's ``_log_probs`` where they are given.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from test_engine import small_panel
 
 from riskcast import dlm
 from riskcast._batch import _ols_residual_variance
-from riskcast.engine import RunConfig, _DynamicFactorFilter, _normalize
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _log_probs
 from riskcast.errors import ParameterError
 
 
@@ -35,9 +35,7 @@ def make_filter(K=2, N=2, **config):
 
 def normalized(log_probs, axis):
     """A normalized copy of log probabilities over ``axis``."""
-    lp = np.array(log_probs, float)
-    _normalize(lp, axis)
-    return lp
+    return _log_probs(np.array(log_probs, float), axis)
 
 
 def forget(flt, log_probs):
@@ -51,7 +49,7 @@ def forget(flt, log_probs):
 
 def update(predicted, log_densities):
     """The engine's Bayes step on given predicted probabilities and densities,
-    over the last axis, as in the factor table."""
+    over the last axis, as in the factor table, read normalized."""
     return normalized(np.asarray(predicted, float) + np.asarray(log_densities, float), -1)
 
 
@@ -78,7 +76,7 @@ class TestBuildPool:
         # x 3 deltas x 2 kappas = 6 models at every position; a fixed
         # ordering has one equation per position
         flt = make_filter(K=3, delta_grid=(0.95, 0.975, 1.0), kappa_f_grid=(0.999, 1.0))
-        assert flt.factor_log_probs.shape == (3, 6)
+        assert flt.factor_log_weights.shape == (3, 6)
         for jj, grp in enumerate(flt.factor_groups):
             assert grp.d == jj + 1
             assert grp.P == 6
@@ -92,7 +90,7 @@ class TestBuildPool:
         K = 4
         flt = _DynamicFactorFilter(panel_with(K), RunConfig(ordering="learn"))
         assert [grp.n_eq for grp in flt.factor_groups] == [4, 12, 12, 4]
-        assert flt.factor_log_probs.shape == (K * 2 ** (K - 1), flt.P_f)
+        assert flt.factor_log_weights.shape == (K * 2 ** (K - 1), flt.P_f)
         members = [(tuple(eq[:-1]), eq[-1]) for eqs in flt.factor_eqs for eq in eqs.tolist()]
         assert len(set(members)) == len(members)
         for jj in range(K):
@@ -187,7 +185,7 @@ class RenormalizingFilter(_DynamicFactorFilter):
 
     def update_step(self, t, selection):
         lpd = super().update_step(t, selection)
-        _normalize(self.asset_log_weights, axis=0)
+        self.asset_log_weights[...] = _log_probs(self.asset_log_weights, axis=0)
         return lpd
 
 
