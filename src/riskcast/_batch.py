@@ -21,20 +21,25 @@ equivalence against that per-state reference kernel.
 
 A pool steps through evolve, forecast, log_densities and update, which uses
 the C*F and q* of forecast and the e = y - f and e^2 / q of log_densities.
-Densities come as (b, P) views of (P, b) arrays: one copy per pool puts them
-in the engine's (mask, spec) x asset rows of model probabilities.
+Densities come as (b, P) views of (P, b) arrays: one add per pool puts them
+into the engine's (mask, spec) x asset rows of model probabilities.
 
 Recoupling works in the second moments S = E[x x'] of x = (1, factors): a
 selected regression of y on columns X of x gives E[y X] = S_XX a and
 E[y^2] = r/(r-2) (s + tr(R S_XX)) + a' E[y X], the one formula that fills S
-for the factors and gives each asset's mean and idiosyncratic variance.
+for the factors and gives each asset's mean and idiosyncratic variance.  The
+assets' covariance B Sigma_f B' + D stays in that factor form
+(``FactorCovariance``), whose inverse the weight solves apply by the Woodbury
+identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericError, ShapeError
 
@@ -51,6 +56,18 @@ def _ols_residual_variance(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
     resid = Y - X @ coef
     return np.maximum(resid.var(axis=0), 1e-12)
+
+
+@functools.lru_cache(maxsize=2)
+def _t_log_constant(r: tuple) -> np.ndarray:
+    """Student-t log constant lgamma((r+1)/2) - lgamma(r/2) - log(r pi)/2 of each
+    dof in ``r``, as a read-only (len(r), 1) array.  The pools of a block share
+    r = kappa n, so the cache, one entry per block, computes it once per block and
+    date.  Few values, so math.lgamma serves, and scipy.special need not load."""
+    lg = np.array([math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) for x in r])
+    lt = lg[:, None] - 0.5 * np.log(np.array(r)[:, None] * np.pi)
+    lt.flags.writeable = False
+    return lt
 
 
 class PoolGroup:
@@ -120,10 +137,8 @@ class PoolGroup:
 
     def evolve(self) -> None:
         self.r = self.kappas * self.n
-        self._r = r = self.r[:, None]
-        # Pk values, so math.lgamma serves, and scipy.special need not load
-        lg = np.array([math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) for x in self.r.tolist()])
-        self._lt = lg[:, None] - 0.5 * np.log(r * np.pi)
+        self._r = self.r[:, None]
+        self._lt = _t_log_constant(tuple(self.r.tolist()))
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b), given each
@@ -257,25 +272,64 @@ def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
     return yX[:, 0], a_x[:, 1:], idio
 
 
-def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray, out=None):
-    """B sig B' + diag(idio), into the (N, N) buffer ``out`` if given.
+class FactorCovariance:
+    """The covariance B sig B' + diag(idio) of N assets on K factors, kept in
+    factor form: G = B S, with S S' = sig, and D = idio.
 
-    It is written as G G' + diag(idio) with G = B S and S S' = sig: numpy
-    computes a product with its own transpose by a symmetric rank-K update
-    (BLAS syrk) and mirrors one triangle, so the result is exactly symmetric.
     S is the Cholesky factor of sig, or for a singular sig, such as the one
     ``efm_cov`` gives for a zero-variance factor, V sqrt(lam) from its
     eigendecomposition, with rounding's negative eigenvalues set to zero.
+
+    ``solve`` applies the inverse by the Woodbury identity in O(N K^2) and
+    builds no N x N array.  The array protocol is ``shape``, ``np.asarray``,
+    which gives the dense matrix, and the scalar product c * cov, which gives
+    c times it: enough for code that reads the matrix but never solves with it.
+    The arrays are never written after construction.
     """
-    try:
-        S = np.linalg.cholesky(sig)
-    except np.linalg.LinAlgError:
-        lam, V = np.linalg.eigh(sig)
-        if lam[0] < -1e-12 * lam[-1]:
-            raise NumericError(f"factor covariance is not positive semidefinite "
-                               f"(eigenvalue {lam[0]:.3g})") from None
-        S = V * np.sqrt(np.maximum(lam, 0.0))
-    G = B @ S
-    out = np.matmul(G, G.T, out=out)
-    out.flat[::idio.size + 1] += idio
-    return out
+
+    def __init__(self, B: np.ndarray, sig: np.ndarray, idio: np.ndarray):
+        try:
+            S = np.linalg.cholesky(sig)
+        except np.linalg.LinAlgError:
+            lam, V = np.linalg.eigh(sig)
+            if lam[0] < -1e-12 * lam[-1]:
+                raise NumericError(f"factor covariance is not positive semidefinite "
+                                   f"(eigenvalue {lam[0]:.3g})") from None
+            S = V * np.sqrt(np.maximum(lam, 0.0))
+        self.G = B @ S
+        self.D = np.asarray(idio, float)
+        self.shape = (self.D.size, self.D.size)
+
+    def __array__(self, dtype=None, copy=None):
+        # numpy computes a product with its own transpose by a symmetric rank-K
+        # update (BLAS syrk) and mirrors one triangle, so this is exactly symmetric
+        out = self.G @ self.G.T
+        out.flat[::self.D.size + 1] += self.D
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __mul__(self, c):
+        return c * np.asarray(self)
+
+    __rmul__ = __mul__
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Sigma^-1 rhs = D^-1 rhs - D^-1 G (I + G' D^-1 G)^-1 G' D^-1 rhs, for rhs
+        (N,) or (N, m), by one Cholesky factorization of the K x K capacitance
+        matrix; NumericError if G or D is not finite or D is not positive."""
+        G, D = self.G, self.D
+        if not (np.isfinite(G).all() and np.isfinite(D).all()):
+            raise NumericError("covariance matrix is not finite")
+        if D.min() <= 0.0:
+            raise NumericError("covariance matrix is not positive definite")
+        H = G / D[:, None]                              # D^-1 G
+        cap = G.T @ H
+        cap.flat[::cap.shape[0] + 1] += 1.0
+        L, info = dpotrf(cap, lower=1, clean=0)
+        if info != 0 or not np.isfinite(L.diagonal()).all():
+            raise NumericError("covariance matrix is not finite")
+        return (rhs.T / D).T - H @ dpotrs(L, H.T @ rhs, lower=1)[0]
+
+
+def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray) -> np.ndarray:
+    """B sig B' + diag(idio) as a dense, exactly symmetric (N, N) array."""
+    return np.asarray(FactorCovariance(B, sig, idio))

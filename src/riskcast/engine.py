@@ -2,9 +2,13 @@
 
 One pass over dates drives every equation pool through evolve -> select ->
 recouple -> optimize -> forecast -> update, recoupling and optimizing on
-evaluation dates only.  Weights at date t use information through t-1 only;
-the realized values of date t enter afterwards via the Bayes updates.  The
-training window runs through the same filter but records no metrics or weights.
+evaluation dates only.  The optimize step holds the model covariance in factor
+form (``FactorCovariance``): the closed-form MVP and GMV solves apply its
+inverse by the Woodbury identity in O(N K^2), and only the box solve, which
+indexes the matrix, gets it dense.  Weights at date t use information through
+t-1 only; the realized values of date t enter afterwards via the Bayes updates.
+The training window runs through the same filter but records no metrics or
+weights.
 
 Factor forecasts depend on the order in which the factors enter the
 triangular system, so the model learns over all K! orderings, K at most
@@ -24,10 +28,12 @@ renormalized.  ``select`` forgets each table in place (so it runs once per date)
 takes each slice's argmax, which that constant cannot move, and shifts the slice
 so that its selected, largest entry is 0, which keeps the table as bounded as a
 normalized one when alpha = 1; ``update_step`` only adds the date's log
-densities.  A reader normalizes a copy: ``asset_log_probs()``, which ``inclusion``
-reads, and ``ordering_log_probs()``, the mixture weights of ``recouple``.  A
-backtest reads the factor and asset tables only through their argmaxes, so it
-normalizes once per evaluation date, for the mixture.
+densities, each asset pool's straight into its rows.  A reader normalizes a
+copy: ``asset_log_probs()``, which ``inclusion`` reads, and
+``ordering_log_probs()``, the mixture weights of ``recouple``.  A backtest reads
+the factor and asset tables only through their argmaxes, so it normalizes once
+per evaluation date, for the mixture, and not at all under a fixed ordering,
+whose one ordering has log probability 0.
 
 One scoring loop turns the (mean, covariance) that each comparison row's
 predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
@@ -45,7 +51,7 @@ import numpy as np
 
 from . import benchmarks as bench
 from . import portfolio as pf
-from ._batch import (DOF_FLOOR, PoolGroup, _ols_residual_variance, asset_covariance,
+from ._batch import (DOF_FLOOR, FactorCovariance, PoolGroup, _ols_residual_variance,
                      batched_asset_moments, mixture_factor_moments, moment_offsets,
                      recursive_factor_moments)
 from .data import ReturnPanel
@@ -208,16 +214,6 @@ def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     return out if keepdims else np.squeeze(out, axis=axis)[()]
 
 
-def _forget_select(log_weights: np.ndarray, alpha: float, axis: int):
-    """Forget a table of log weights in place (times ``alpha``), pick each
-    slice's largest entry over the specs on ``axis``, and shift the slice so
-    that the picked entry is 0; returns the picks."""
-    log_weights *= alpha
-    sel = np.argmax(log_weights, axis=axis, keepdims=True)
-    log_weights -= np.take_along_axis(log_weights, sel, axis)
-    return sel.squeeze(axis)
-
-
 def _log_probs(log_weights: np.ndarray, axis: int) -> np.ndarray:
     """A table of log weights normalized over the specs on ``axis``: a new array."""
     return log_weights - logsumexp(log_weights, axis=axis, keepdims=True)
@@ -271,14 +267,10 @@ class _DynamicFactorFilter:
         self.asset_groups, self.asset_eqs = self._pools(
             self.masks[mi], 1 + K + j, config.kappa_r_grid,
             lambda rec: s0[rec[..., -1].ravel() - 1 - K])
-        n_specs = len(self.masks) * self.P_r
-        self.asset_log_weights = np.zeros((n_specs, N))
+        self.asset_log_weights = np.zeros((len(self.masks) * self.P_r, N))
         self._assets = np.arange(N)
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
                                       axis=0).astype(float)
-        self._dens_a = np.empty((n_specs, N))      # densities, by pool as (masks, specs, N)
-        self._dens_blocks = np.split(self._dens_a.reshape(-1, self.P_r, N),
-                                     np.cumsum([g.n_eq // N for g in self.asset_groups])[:-1])
 
         # factor block: each distinct equation (parent mask, target) once, in pool
         # j, its parent count, from row factor_start[j] on.  Ordering o uses row
@@ -296,6 +288,7 @@ class _DynamicFactorFilter:
         row = {eq: e for e, eq in enumerate(factor_eqs)}
         self.factor_eq = np.array([[row[eq] for eq in pos] for pos in eqs])
         self.factor_log_weights = np.zeros((len(factor_eqs), self.P_f))
+        self._factor_rows = np.arange(len(factor_eqs))
         self.factor_offsets = moment_offsets([
             rec[eq - st] for rec, eq, st in zip(self.factor_eqs, self.factor_eq, self.factor_start)])
 
@@ -335,13 +328,19 @@ class _DynamicFactorFilter:
         cfg = self.config
         for grp, *_ in self.pools:
             grp.evolve()
-        sel_f = _forget_select(self.factor_log_weights, cfg.alpha, axis=1)
-        _forget_select(self.ordering_log_weights, cfg.alpha_ord, axis=0)
-        sel_assets = _forget_select(self.asset_log_weights, cfg.alpha, axis=0)
+        fw, ow, aw = self.factor_log_weights, self.ordering_log_weights, self.asset_log_weights
+        fw *= cfg.alpha
+        sel_f = np.argmax(fw, axis=1)
+        fw -= fw[self._factor_rows, sel_f][:, None]
+        ow *= cfg.alpha_ord
+        ow -= ow.max()
+        aw *= cfg.alpha
+        sel_assets = np.argmax(aw, axis=0)
+        aw -= aw[sel_assets, self._assets]
         # the pools of a block share r = kappa n, one per kappa: spec p reads p % Pk
         for block, grp, p_idx in (("factor", self.factor_groups[0], sel_f),
                                   ("asset", self.asset_groups[0], sel_assets)):
-            if np.any(grp.r[p_idx % grp.kappas.size] <= DOF_FLOOR):
+            if grp.r.min() <= DOF_FLOOR and np.any(grp.r[p_idx % grp.kappas.size] <= DOF_FLOOR):
                 warnings.warn(f"{block} equation degrees of freedom at the floor", RuntimeWarning)
         return sel_assets, sel_f
 
@@ -377,18 +376,29 @@ class _DynamicFactorFilter:
         self.factor_log_weights += dens_f
         self.ordering_log_weights += joint
 
-        # a pool's densities (masks x N, P) fill its rows (masks x P, N)
-        for block, d in zip(self._dens_blocks, dens[:n_a]):
-            block[...] = d.T.reshape(self.P_r, -1, self.N).transpose(1, 0, 2)
-        self.asset_log_weights += self._dens_a
-        return float(self._dens_a[sel_assets, self._assets].sum())
+        # a pool's densities, (P, masks x N) transposed, add into its rows
+        # (masks x P, N), and those of its assets' selected specs into sel
+        N, P = self.N, self.P_r
+        mask_idx, p_idx = np.divmod(sel_assets, P)
+        sel, start = np.empty(N), 0
+        for grp, d in zip(self.asset_groups, dens[:n_a]):
+            G, dT = grp.groups, d.T
+            block = self.asset_log_weights[start * P:(start + G) * P].reshape(G, P, N)
+            block += dT.reshape(P, G, N).transpose(1, 0, 2)
+            j = np.flatnonzero((mask_idx >= start) & (mask_idx < start + G))
+            sel[j] = dT[p_idx[j], (mask_idx[j] - start) * N + j]
+            start += G
+        return float(sel.sum())
 
     def asset_log_probs(self) -> np.ndarray:
         """The asset table normalized over its specs: a new (masks x P, N) array."""
         return _log_probs(self.asset_log_weights, axis=0)
 
     def ordering_log_probs(self) -> np.ndarray:
-        """The ordering table normalized: a new (orderings,) array."""
+        """The ordering table normalized: a new (orderings,) array, exactly 0
+        for a single ordering."""
+        if self.n_ord == 1:
+            return np.zeros(1)
         return _log_probs(self.ordering_log_weights, axis=0)
 
     def inclusion(self) -> np.ndarray:
@@ -399,14 +409,17 @@ class _DynamicFactorFilter:
 
 def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
     """Drive the filter over all dates.  A backtest (``collect_weights``) also gets
-    weights, but no inclusion, ordering or factor-moment series (left None)."""
+    weights, but no inclusion, ordering or factor-moment series (left None).
+    Each evaluation date's weights solve on a new ``FactorCovariance`` of the
+    recoupled (B, sig, idio), so the unconstrained solves build no N x N array;
+    a tracer may keep the object, so nothing of it is reused."""
     flt = _DynamicFactorFilter(panel, config)
     train = flt.train_len
     T_eval = panel.T - train
     N, K = flt.N, flt.K
     lpd_series, asset_mean = np.zeros(T_eval), np.zeros((T_eval, N))
     if collect_weights:
-        weights, cov = np.zeros((T_eval, N)), np.empty((N, N))
+        weights = np.zeros((T_eval, N))
         inclusion = ord_lp = fac_mean = fac_cov = None
     else:
         weights = None
@@ -422,9 +435,8 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
                 mean, B, idio, lam, sig = flt.recouple(selection)
                 asset_mean[i] = mean
                 if collect_weights:
-                    asset_covariance(B, sig, idio, out=cov)
                     mu = pf.momentum_signal(flt.R, t) if momentum else mean
-                    weights[i] = _solve_weights(config, mu, cov,
+                    weights[i] = _solve_weights(config, mu, FactorCovariance(B, sig, idio),
                                                 weights[i - 1] if i > 0 else None).w
             lpd_t = flt.update_step(t, selection)
             if i >= 0:
@@ -443,17 +455,20 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         factors=flt.factor_names), weights, train
 
 
-def _solve_weights(config: RunConfig, mean: np.ndarray, cov: np.ndarray,
+def _solve_weights(config: RunConfig, mean: np.ndarray, cov,
                    start: np.ndarray | None) -> pf.WeightVector:
     """Weights for one date under the run's strategy; ``start`` (the previous
-    date's weights of the same row) warm-starts the box solve."""
+    date's weights of the same row) warm-starts the box solve.  ``cov`` is an
+    SPD array or a ``FactorCovariance``: the closed forms take either, and the
+    box solve gets it as a dense array, since the active-set method indexes
+    its free and bound blocks."""
     bound, tau = config.max_weight, config.tau_periodic
     if config.strategy == "gmv":
         if bound is not None:
-            return pf.constrained_weights(cov, bound, start=start)
+            return pf.constrained_weights(np.asarray(cov), bound, start=start)
         return pf.gmv_weights(cov)
     if bound is not None:
-        return pf.constrained_weights(cov, bound, mean, tau, start=start)
+        return pf.constrained_weights(np.asarray(cov), bound, mean, tau, start=start)
     return pf.mvp_weights(mean, cov, tau)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._batch import FactorCovariance
 from .errors import (DegeneracyError, InfeasibleError, NumericError,
                      ParameterError, ShapeError, WindowError)
 
@@ -95,19 +96,27 @@ def _solve_spd(cov: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return dpotrs(L, rhs, lower=1)[0], L
 
 
-def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float) -> WeightVector:
+def _inverse_times(cov, rhs: np.ndarray) -> np.ndarray:
+    """Sigma^-1 rhs: by the Woodbury identity for a ``FactorCovariance``, which
+    is never made dense here, and by ``_solve_spd`` for an SPD array."""
+    if isinstance(cov, FactorCovariance):
+        return cov.solve(rhs)
+    return _solve_spd(cov, rhs)[0]
+
+
+def mvp_weights(mean: np.ndarray, cov, target: float) -> WeightVector:
     """Closed-form mean-variance weights hitting a per-period return target.
 
     w = ((C - tau B)/(AC - B^2)) Sigma^-1 1 + ((tau A - B)/(AC - B^2)) Sigma^-1 mu
-    with A = 1'Sigma^-1 1, B = 1'Sigma^-1 mu, C = mu'Sigma^-1 mu.
+    with A = 1'Sigma^-1 1, B = 1'Sigma^-1 mu, C = mu'Sigma^-1 mu.  ``cov`` is an
+    SPD array or a ``FactorCovariance``, whose inverse is applied in O(N K^2).
     """
     mean = np.asarray(mean, float)
-    cov = np.asarray(cov, float)
     n = mean.size
-    if cov.shape != (n, n):
-        raise ShapeError(f"cov has shape {cov.shape}, expected ({n}, {n})")
+    if np.shape(cov) != (n, n):
+        raise ShapeError(f"cov has shape {np.shape(cov)}, expected ({n}, {n})")
     ones = np.ones(n)
-    si_one, si_mu = _solve_spd(cov, np.column_stack((ones, mean)))[0].T
+    si_one, si_mu = _inverse_times(cov, np.column_stack((ones, mean))).T
     A = float(ones @ si_one)
     B = float(ones @ si_mu)
     C = float(mean @ si_mu)
@@ -120,10 +129,10 @@ def mvp_weights(mean: np.ndarray, cov: np.ndarray, target: float) -> WeightVecto
     return WeightVector(w)
 
 
-def gmv_weights(cov: np.ndarray) -> WeightVector:
-    """Global minimum-variance weights: Sigma^-1 1 normalized to the budget."""
-    cov = np.asarray(cov, float)
-    si_one = _solve_spd(cov, np.ones(cov.shape[0]))[0]
+def gmv_weights(cov) -> WeightVector:
+    """Global minimum-variance weights: Sigma^-1 1 normalized to the budget.
+    ``cov`` is an SPD array or a ``FactorCovariance``, as for ``mvp_weights``."""
+    si_one = _inverse_times(cov, np.ones(np.shape(cov)[0]))
     return WeightVector(si_one / si_one.sum())
 
 

@@ -10,8 +10,9 @@ from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from riskcast import dlm, engine, portfolio as pf, recouple
-from riskcast._batch import (N0, PoolGroup, _ols_residual_variance, asset_covariance,
-                             batched_asset_moments, moment_offsets, recursive_factor_moments)
+from riskcast._batch import (N0, FactorCovariance, PoolGroup, _ols_residual_variance,
+                             _t_log_constant, asset_covariance, batched_asset_moments,
+                             moment_offsets, recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, _log_probs, logsumexp,
                              run_backtest, run_statistics_only)
@@ -379,14 +380,16 @@ class TestBatchedKernelEquivalence:
             np.testing.assert_allclose(flt.asset_log_probs().T, lp, rtol=0, atol=1e-12)
 
 
-    def test_asset_covariance_into_buffers_matches_the_allocating_form(self):
-        # B sig B' + diag(idio), exactly symmetric and within 1e-15 of the
-        # direct product, scaled by its largest entry; bit for bit the same
-        # whether it allocates or writes into a reused buffer.  A singular PSD
-        # sig, here with a zero-variance factor, is accepted.
+    def test_factor_form_densifies_as_asset_covariance_did(self):
+        # np.asarray of the factor form is, byte for byte, the matrix that
+        # asset_covariance wrote into a buffer: G G' + diag(idio) with G = B S,
+        # S the Cholesky factor of sig or, for a singular PSD sig (here with a
+        # zero-variance factor), V sqrt(lam) from its eigendecomposition.  It is
+        # exactly symmetric and within 1e-15 of the direct product, scaled by
+        # its largest entry; asset_covariance returns it, and a scalar product
+        # scales it.
         rng = np.random.default_rng(24)
         N, K = 37, 5
-        out = np.full((N, N), np.nan)
         for singular in (False, False, True, True):
             B = rng.normal(size=(N, K))
             A = rng.normal(size=(K, K))
@@ -395,9 +398,20 @@ class TestBatchedKernelEquivalence:
                 sig[-1] = sig[:, -1] = 0.0
             ref = B @ sig @ B.T
             ref[np.diag_indices(N)] += idio
-            assert asset_covariance(B, sig, idio, out=out) is out
-            cov = asset_covariance(B, sig, idio)
-            assert cov.tobytes() == out.tobytes()
+            try:
+                S = np.linalg.cholesky(sig)
+            except np.linalg.LinAlgError:
+                assert singular
+                lam, V = np.linalg.eigh(sig)
+                S = V * np.sqrt(np.maximum(lam, 0.0))
+            G = B @ S
+            buffered = np.matmul(G, G.T, out=np.full((N, N), np.nan))
+            buffered.flat[::N + 1] += idio
+            fc = FactorCovariance(B, sig, idio)
+            cov = np.asarray(fc)
+            assert fc.shape == (N, N)
+            assert cov.tobytes() == buffered.tobytes() == asset_covariance(B, sig, idio).tobytes()
+            assert (2.0 * fc).tobytes() == (fc * 2.0).tobytes() == (2.0 * cov).tobytes()
             assert np.array_equal(cov, cov.T)
             assert np.abs(cov - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -593,6 +607,19 @@ class TestEngineInvariants:
         assert np.array_equal(lw, forgotten - np.take_along_axis(forgotten, sel, axis))
         assert np.all(np.take_along_axis(lw, sel, axis) == 0.0)
 
+    def test_student_t_constant_once_per_block_and_date(self):
+        # the pools of a block share r = kappa n, so a date computes the
+        # Student-t log constant twice, for the assets and for the factors, and
+        # every pool of a block reads that one array
+        flt = _DynamicFactorFilter(small_panel(seed=26, N=4, K=3, T=30, train=20), RunConfig())
+        for t in range(3):
+            _t_log_constant.cache_clear()
+            selection = flt.select()
+            assert _t_log_constant.cache_info().misses == 2
+            for block in (flt.asset_groups, flt.factor_groups):
+                assert len(block) == 3 and all(g._lt is block[0]._lt for g in block)
+            flt.update_step(t, selection)
+
     def test_stats_match_backtest_lpd(self):
         panel = small_panel(seed=9)
         cfg = RunConfig(strategy="gmv")
@@ -627,6 +654,27 @@ class TestEngineInvariants:
         report = run_backtest(panel, RunConfig(strategy="gmv"))
         assert np.isfinite(report.rows[0].lpd)
         assert calls == [(6,)] * (panel.T - panel.train_len)
+
+    def test_fixed_ordering_backtest_never_normalizes(self, monkeypatch):
+        # one ordering has log probability exactly 0, so nothing is normalized
+        def refuse(*args, **kwargs):
+            raise AssertionError("logsumexp under a fixed ordering")
+
+        monkeypatch.setattr(engine, "logsumexp", refuse)
+        report = run_backtest(small_panel(seed=9, K=3), RunConfig(strategy="gmv", ordering="fixed"))
+        assert np.isfinite(report.rows[0].lpd)
+
+    @pytest.mark.parametrize("strategy", ["mvp", "gmv"])
+    def test_unconstrained_model_solves_stay_in_factor_form(self, monkeypatch, strategy):
+        # with the dense covariance and the N x N Cholesky solve both made to
+        # raise, a backtest without comparison rows still completes
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense covariance on the unconstrained path")
+
+        monkeypatch.setattr(FactorCovariance, "__array__", refuse)
+        monkeypatch.setattr(pf, "_solve_spd", refuse)
+        report = run_backtest(small_panel(seed=18), RunConfig(strategy=strategy))
+        assert np.all(np.isfinite(report.rows[0].gross))
 
     @pytest.mark.parametrize("cov, match", [
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "not finite"),

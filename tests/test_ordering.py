@@ -18,7 +18,7 @@ from test_engine import small_panel
 
 from riskcast import dlm
 from riskcast._batch import mixture_factor_moments
-from riskcast.engine import RunConfig, _DynamicFactorFilter, _forget_select, _log_probs
+from riskcast.engine import RunConfig, _DynamicFactorFilter, _log_probs
 from riskcast.errors import CapacityError
 from riskcast.recouple import to_canonical
 
@@ -26,8 +26,8 @@ from riskcast.recouple import to_canonical
 def update_ordering_probs(log_probs, log_densities, alpha_ord):
     """The engine's two steps on given ordering densities, forget, then Bayes,
     read normalized."""
-    lw = np.array(log_probs, float)
-    _forget_select(lw, alpha_ord, axis=0)
+    lw = np.array(log_probs, float) * alpha_ord
+    lw -= lw.max()
     lw += log_densities
     return _log_probs(lw, axis=0)
 
