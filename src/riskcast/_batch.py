@@ -27,10 +27,10 @@ into the engine's (mask, spec) x asset rows of model probabilities.
 Recoupling works in the second moments S = E[x x'] of x = (1, factors): a
 selected regression of y on columns X of x gives E[y X] = S_XX a and
 E[y^2] = r/(r-2) (s + tr(R S_XX)) + a' E[y X], the one formula that fills S
-for the factors and gives each asset's mean and idiosyncratic variance.  The
-assets' covariance B Sigma_f B' + D stays in that factor form
-(``FactorCovariance``), whose inverse the weight solves apply by the Woodbury
-identity.
+for the factors and gives each asset's mean and idiosyncratic variance.  Weight
+solves and Gaussian densities take a ``Covariance``, factored once by
+``_cholesky``, the one caller of LAPACK's potrf; the assets' B Sigma_f B' + D
+stays in factor form (``FactorCovariance``), which solves by Woodbury.
 """
 
 from __future__ import annotations
@@ -272,7 +272,52 @@ def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
     return yX[:, 0], a_x[:, 1:], idio
 
 
-class FactorCovariance:
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix ``a``, from its lower triangle, by
+    one LAPACK potrf; NumericError if a is not finite or not positive definite."""
+    L, info = dpotrf(a, lower=1, clean=0)
+    # a NaN pivot can pass potrf with info 0, so the factor's diagonal is checked too
+    if info != 0 or not np.isfinite(L.diagonal()).all():
+        if not np.isfinite(a).all():
+            raise NumericError("covariance matrix is not finite")
+        raise NumericError("covariance matrix is not positive definite")
+    return L
+
+
+class Covariance:
+    """An SPD matrix, Cholesky-factored once, on first use, so that a date's
+    weight solve and Gaussian density share the factor; ``solve`` and ``logdet``
+    raise NumericError if it is not finite or not positive definite.  ``shape``,
+    ``np.asarray`` and c * cov read the matrix, which is never written."""
+
+    def __init__(self, a: np.ndarray):
+        a = np.asarray(a, float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError(f"cov has shape {a.shape}, expected a square matrix")
+        self._a, self.shape = a, a.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._a, dtype=dtype, copy=copy)
+
+    def __mul__(self, c):
+        return c * np.asarray(self)
+
+    __rmul__ = __mul__
+
+    @functools.cached_property
+    def _L(self) -> np.ndarray:
+        return _cholesky(np.asarray(self))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Sigma^-1 rhs, for rhs (N,) or (N, m), by one potrs on the factor."""
+        return dpotrs(self._L, rhs, lower=1)[0]
+
+    def logdet(self) -> float:
+        """log det Sigma, twice the log diagonal of the factor summed."""
+        return float(2.0 * np.log(self._L.diagonal()).sum())
+
+
+class FactorCovariance(Covariance):
     """The covariance B sig B' + diag(idio) of N assets on K factors, kept in
     factor form: G = B S, with S S' = sig, and D = idio.
 
@@ -281,10 +326,8 @@ class FactorCovariance:
     eigendecomposition, with rounding's negative eigenvalues set to zero.
 
     ``solve`` applies the inverse by the Woodbury identity in O(N K^2) and
-    builds no N x N array.  The array protocol is ``shape``, ``np.asarray``,
-    which gives the dense matrix, and the scalar product c * cov, which gives
-    c times it: enough for code that reads the matrix but never solves with it.
-    The arrays are never written after construction.
+    builds no N x N array; ``np.asarray`` builds the dense matrix anew on each
+    call, and ``logdet`` factors it.
     """
 
     def __init__(self, B: np.ndarray, sig: np.ndarray, idio: np.ndarray):
@@ -307,11 +350,6 @@ class FactorCovariance:
         out.flat[::self.D.size + 1] += self.D
         return out if dtype is None else out.astype(dtype, copy=False)
 
-    def __mul__(self, c):
-        return c * np.asarray(self)
-
-    __rmul__ = __mul__
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Sigma^-1 rhs = D^-1 rhs - D^-1 G (I + G' D^-1 G)^-1 G' D^-1 rhs, for rhs
         (N,) or (N, m), by one Cholesky factorization of the K x K capacitance
@@ -324,12 +362,4 @@ class FactorCovariance:
         H = G / D[:, None]                              # D^-1 G
         cap = G.T @ H
         cap.flat[::cap.shape[0] + 1] += 1.0
-        L, info = dpotrf(cap, lower=1, clean=0)
-        if info != 0 or not np.isfinite(L.diagonal()).all():
-            raise NumericError("covariance matrix is not finite")
-        return (rhs.T / D).T - H @ dpotrs(L, H.T @ rhs, lower=1)[0]
-
-
-def asset_covariance(B: np.ndarray, sig: np.ndarray, idio: np.ndarray) -> np.ndarray:
-    """B sig B' + diag(idio) as a dense, exactly symmetric (N, N) array."""
-    return np.asarray(FactorCovariance(B, sig, idio))
+        return (rhs.T / D).T - H @ dpotrs(_cholesky(cap), H.T @ rhs, lower=1)[0]

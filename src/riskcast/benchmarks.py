@@ -106,7 +106,7 @@ def efm_cov(returns_window: np.ndarray, factor_window: np.ndarray) -> np.ndarray
     B = np.zeros((R.shape[1], k))
     B[:, keep] = coef[1:].T
     fc = np.cov(F.T, ddof=1).reshape(k, k)
-    return _batch.asset_covariance(B, fc, resid.var(axis=0, ddof=keep.size + 1))
+    return np.asarray(_batch.FactorCovariance(B, fc, resid.var(axis=0, ddof=keep.size + 1)))
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ class FactorWishartDLM:
         if (r := float(self.assets.r[0])) <= 2.0:
             raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
         mean, B, idio = _batch.batched_asset_moments([self.assets], *self._sel, lam, sig_f)
-        return mean, _batch.asset_covariance(B, sig_f, idio)
+        return mean, np.asarray(_batch.FactorCovariance(B, sig_f, idio))
 
     def step(self, y_factors: np.ndarray, y_assets: np.ndarray) -> None:
         """Update the factor block and every asset filter on one period."""

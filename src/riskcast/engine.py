@@ -37,7 +37,8 @@ whose one ordering has log probability 0.
 
 One scoring loop turns the (mean, covariance) that each comparison row's
 predictor in ``benchmarks.PREDICTORS`` yields per date into weights and a
-Gaussian LPD; "ew" is the only comparison model the engine names.
+Gaussian LPD, both from one ``Covariance`` and so from one Cholesky factor;
+"ew" is the only comparison model the engine names.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import benchmarks as bench
 from . import portfolio as pf
-from ._batch import (DOF_FLOOR, FactorCovariance, PoolGroup, _ols_residual_variance,
+from ._batch import (DOF_FLOOR, Covariance, FactorCovariance, PoolGroup, _ols_residual_variance,
                      batched_asset_moments, mixture_factor_moments, moment_offsets,
                      recursive_factor_moments)
 from .data import ReturnPanel
@@ -455,13 +456,12 @@ def _run_model(panel: ReturnPanel, config: RunConfig, collect_weights: bool):
         factors=flt.factor_names), weights, train
 
 
-def _solve_weights(config: RunConfig, mean: np.ndarray, cov,
+def _solve_weights(config: RunConfig, mean: np.ndarray, cov: Covariance,
                    start: np.ndarray | None) -> pf.WeightVector:
     """Weights for one date under the run's strategy; ``start`` (the previous
-    date's weights of the same row) warm-starts the box solve.  ``cov`` is an
-    SPD array or a ``FactorCovariance``: the closed forms take either, and the
-    box solve gets it as a dense array, since the active-set method indexes
-    its free and bound blocks."""
+    date's weights of the same row) warm-starts the box solve.  The closed forms
+    take ``cov`` itself; the box solve, whose active-set method indexes blocks
+    of the matrix, gets it as a dense array."""
     bound, tau = config.max_weight, config.tau_periodic
     if config.strategy == "gmv":
         if bound is not None:
@@ -470,13 +470,6 @@ def _solve_weights(config: RunConfig, mean: np.ndarray, cov,
     if bound is not None:
         return pf.constrained_weights(np.asarray(cov), bound, mean, tau, start=start)
     return pf.mvp_weights(mean, cov, tau)
-
-
-def _gaussian_lpd(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    e = y - mean
-    z, L = pf._solve_spd(cov, e)
-    return float(-0.5 * (y.size * np.log(2.0 * np.pi)) - np.log(L.diagonal()).sum()
-                 - 0.5 * e @ z)
 
 
 def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
@@ -492,8 +485,12 @@ def _run_covariance_benchmark(name: str, panel: ReturnPanel, config: RunConfig,
         try:
             mu, cov = next(predictions)
             cov.flat[::N + 1] += COV_JITTER * np.trace(cov) / N    # into this row's own copy
+            cov = Covariance(cov)
             weights[i] = _solve_weights(config, mu, cov, weights[i - 1] if i > 0 else None).w
-            lpd[i], means[i] = _gaussian_lpd(R[t], mu, cov), mu
+            e = R[t] - mu
+            lpd[i] = float(-0.5 * (N * np.log(2.0 * np.pi)) - 0.5 * cov.logdet()
+                           - 0.5 * e @ cov.solve(e))
+            means[i] = mu
         except RiskcastError as exc:
             raise type(exc)(f"{name}, date {panel.dates[t]}: {exc}") from exc
     return weights, lpd, means

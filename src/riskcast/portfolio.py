@@ -2,7 +2,7 @@
 
 Conventions, also echoed in report headers:
   - annual return targets convert to per-period targets as tau / periods_per_year;
-  - first-period entry cost is excluded from turnover (configurable);
+  - the first period's entry cost is excluded from turnover;
   - a zero forecast counts as a negative sign in hit rates.
 """
 
@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._batch import FactorCovariance
 from .errors import (DegeneracyError, InfeasibleError, NumericError,
                      ParameterError, ShapeError, WindowError)
 
@@ -80,43 +78,19 @@ class BacktestReport:
     rows: list[ModelRow]
 
 
-def _solve_spd(cov: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The solution x of cov x = rhs and the lower Cholesky factor L of cov,
-    from its lower triangle, by one LAPACK potrf and one potrs; NumericError
-    if cov is not finite or not positive definite."""
-    cov = np.asarray(cov, float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ShapeError(f"cov has shape {cov.shape}, expected a square matrix")
-    L, info = dpotrf(cov, lower=1, clean=0)
-    # a NaN pivot can pass potrf with info 0, so the factor's diagonal is checked too
-    if info != 0 or not np.isfinite(L.diagonal()).all():
-        if not np.isfinite(cov).all():
-            raise NumericError("covariance matrix is not finite")
-        raise NumericError("covariance matrix is not positive definite")
-    return dpotrs(L, rhs, lower=1)[0], L
-
-
-def _inverse_times(cov, rhs: np.ndarray) -> np.ndarray:
-    """Sigma^-1 rhs: by the Woodbury identity for a ``FactorCovariance``, which
-    is never made dense here, and by ``_solve_spd`` for an SPD array."""
-    if isinstance(cov, FactorCovariance):
-        return cov.solve(rhs)
-    return _solve_spd(cov, rhs)[0]
-
-
 def mvp_weights(mean: np.ndarray, cov, target: float) -> WeightVector:
     """Closed-form mean-variance weights hitting a per-period return target.
 
     w = ((C - tau B)/(AC - B^2)) Sigma^-1 1 + ((tau A - B)/(AC - B^2)) Sigma^-1 mu
-    with A = 1'Sigma^-1 1, B = 1'Sigma^-1 mu, C = mu'Sigma^-1 mu.  ``cov`` is an
-    SPD array or a ``FactorCovariance``, whose inverse is applied in O(N K^2).
+    with A = 1'Sigma^-1 1, B = 1'Sigma^-1 mu, C = mu'Sigma^-1 mu, each Sigma^-1
+    applied by ``solve`` of ``cov``, a ``_batch.Covariance`` in either form.
     """
     mean = np.asarray(mean, float)
     n = mean.size
-    if np.shape(cov) != (n, n):
-        raise ShapeError(f"cov has shape {np.shape(cov)}, expected ({n}, {n})")
+    if cov.shape != (n, n):
+        raise ShapeError(f"cov has shape {cov.shape}, expected ({n}, {n})")
     ones = np.ones(n)
-    si_one, si_mu = _inverse_times(cov, np.column_stack((ones, mean))).T
+    si_one, si_mu = cov.solve(np.column_stack((ones, mean))).T
     A = float(ones @ si_one)
     B = float(ones @ si_mu)
     C = float(mean @ si_mu)
@@ -130,9 +104,8 @@ def mvp_weights(mean: np.ndarray, cov, target: float) -> WeightVector:
 
 
 def gmv_weights(cov) -> WeightVector:
-    """Global minimum-variance weights: Sigma^-1 1 normalized to the budget.
-    ``cov`` is an SPD array or a ``FactorCovariance``, as for ``mvp_weights``."""
-    si_one = _inverse_times(cov, np.ones(np.shape(cov)[0]))
+    """Global minimum-variance weights: ``cov.solve`` of 1, normalized to the budget."""
+    si_one = cov.solve(np.ones(cov.shape[0]))
     return WeightVector(si_one / si_one.sum())
 
 

@@ -12,8 +12,8 @@ from scipy.special import logsumexp
 
 from _oracles import batch_nig_posterior, fee_bisection
 from riskcast import dlm, portfolio as pf
-from riskcast._batch import (PoolGroup, asset_covariance, batched_asset_moments, moment_offsets,
-                             recursive_factor_moments)
+from riskcast._batch import (Covariance, FactorCovariance, PoolGroup, batched_asset_moments,
+                             moment_offsets, recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import RunConfig, _DynamicFactorFilter, run_backtest, run_statistics_only
 
@@ -133,7 +133,7 @@ def _batched_asset_moments(sels, lam, sig):
         groups.append(grp)
         cols.append(np.array([[0, *(i + 1 for i in idx)]]))
     mean, B, idio = batched_asset_moments(groups, cols, np.arange(N), np.zeros(N, int), lam, sig)
-    return mean, asset_covariance(B, sig, idio)
+    return mean, np.asarray(FactorCovariance(B, sig, idio))
 
 
 def test_criterion_3_moment_oracle():
@@ -244,7 +244,7 @@ def test_criterion_5_optimizer_contracts():
         cov = A @ A.T + n * np.eye(n)
         mu = rng.normal(size=n)
         tau = float(rng.normal(scale=0.1))
-        w = pf.mvp_weights(mu, cov, tau).w
+        w = pf.mvp_weights(mu, Covariance(cov), tau).w
         worst = max(worst, abs(w.sum() - 1.0), abs(mu @ w - tau))
         E = np.vstack([np.ones(n), mu])
         kkt = np.zeros((n + 2, n + 2))
@@ -260,7 +260,7 @@ def test_criterion_5_optimizer_contracts():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         v = rng.uniform(0.5, 4.0, size=n)
-        w = pf.gmv_weights(np.diag(v)).w
+        w = pf.gmv_weights(Covariance(np.diag(v))).w
         worst = max(worst, float(np.max(np.abs(w - (1 / v) / (1 / v).sum()))))
     ok &= worst < 1e-10
     detail.append(f"gmv err {worst:.1e}")

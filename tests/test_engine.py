@@ -9,10 +9,10 @@ import pytest
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
-from riskcast import dlm, engine, portfolio as pf, recouple
-from riskcast._batch import (N0, FactorCovariance, PoolGroup, _ols_residual_variance,
-                             _t_log_constant, asset_covariance, batched_asset_moments,
-                             moment_offsets, recursive_factor_moments)
+from riskcast import _batch, dlm, engine, portfolio as pf, recouple
+from riskcast._batch import (N0, Covariance, FactorCovariance, PoolGroup, _ols_residual_variance,
+                             _t_log_constant, batched_asset_moments, moment_offsets,
+                             recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, _log_probs, logsumexp,
                              run_backtest, run_statistics_only)
@@ -366,8 +366,8 @@ class TestBatchedKernelEquivalence:
                 sels.append((parents[mi], dlm.PriorState(a[0], R[0], float(r[0]), float(s[0]))))
             moments = recouple.asset_moments(lam, sig, sels)
             np.testing.assert_allclose(mean, moments.asset_mean, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(asset_covariance(B, sig, idio), moments.asset_cov,
-                                       rtol=0, atol=1e-12)
+            dense = np.asarray(FactorCovariance(B, sig, idio))
+            np.testing.assert_allclose(dense, moments.asset_cov, rtol=0, atol=1e-12)
             flt.update_step(t, selection)
             dens = []
             for grp, p in zip(ref, parents):
@@ -386,8 +386,8 @@ class TestBatchedKernelEquivalence:
         # S the Cholesky factor of sig or, for a singular PSD sig (here with a
         # zero-variance factor), V sqrt(lam) from its eigendecomposition.  It is
         # exactly symmetric and within 1e-15 of the direct product, scaled by
-        # its largest entry; asset_covariance returns it, and a scalar product
-        # scales it.
+        # its largest entry; a second object densifies to the same bytes, and a
+        # scalar product scales it.
         rng = np.random.default_rng(24)
         N, K = 37, 5
         for singular in (False, False, True, True):
@@ -410,7 +410,8 @@ class TestBatchedKernelEquivalence:
             fc = FactorCovariance(B, sig, idio)
             cov = np.asarray(fc)
             assert fc.shape == (N, N)
-            assert cov.tobytes() == buffered.tobytes() == asset_covariance(B, sig, idio).tobytes()
+            again = np.asarray(FactorCovariance(B, sig, idio))
+            assert cov.tobytes() == buffered.tobytes() == again.tobytes()
             assert (2.0 * fc).tobytes() == (fc * 2.0).tobytes() == (2.0 * cov).tobytes()
             assert np.array_equal(cov, cov.T)
             assert np.abs(cov - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -418,7 +419,7 @@ class TestBatchedKernelEquivalence:
     def test_asset_covariance_rejects_an_indefinite_factor_covariance(self):
         sig = np.diag([1.0, -1e-3])
         with pytest.raises(NumericError, match="not positive semidefinite"):
-            asset_covariance(np.ones((3, 2)), sig, np.ones(3))
+            FactorCovariance(np.ones((3, 2)), sig, np.ones(3))
 
 
 def reference_singleton_run(panel):
@@ -442,7 +443,7 @@ def reference_singleton_run(panel):
         moments = recouple.asset_moments(lam, sig_f, [((0,), p) for p in apriors])
         Freg = np.array([1.0, F[t, 0]])
         if t >= train:
-            weights.append(pf.gmv_weights(moments.asset_cov).w)
+            weights.append(pf.gmv_weights(Covariance(moments.asset_cov)).w)
             # the decoupled likelihood: each asset conditions on the realized factor
             lpds.append(sum(dlm.log_predictive_density(dlm.forecast(p, Freg), float(R[t, j]))
                             for j, p in enumerate(apriors)))
@@ -666,22 +667,41 @@ class TestEngineInvariants:
 
     @pytest.mark.parametrize("strategy", ["mvp", "gmv"])
     def test_unconstrained_model_solves_stay_in_factor_form(self, monkeypatch, strategy):
-        # with the dense covariance and the N x N Cholesky solve both made to
-        # raise, a backtest without comparison rows still completes
+        # with the dense covariance and the dense type's solve and logdet all
+        # made to raise, a backtest without comparison rows still completes
         def refuse(*args, **kwargs):
             raise AssertionError("dense covariance on the unconstrained path")
 
         monkeypatch.setattr(FactorCovariance, "__array__", refuse)
-        monkeypatch.setattr(pf, "_solve_spd", refuse)
+        for name in ("solve", "logdet"):
+            monkeypatch.setattr(Covariance, name, refuse)
         report = run_backtest(small_panel(seed=18), RunConfig(strategy=strategy))
         assert np.all(np.isfinite(report.rows[0].gross))
+
+    def test_comparison_row_factors_its_covariance_once_per_date(self, monkeypatch):
+        # the lw row's GMV weights and Gaussian LPD share one N x N Cholesky
+        # factor; the model's Woodbury solves factor only K x K matrices
+        cholesky, shapes = _batch._cholesky, []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(_batch, "_cholesky", counted)
+        panel = small_panel(seed=9, N=6, K=2, T=90, train=60)
+        report = run_backtest(panel, RunConfig(strategy="gmv", benchmarks=("lw",)))
+        assert np.isfinite(report.rows[1].lpd)
+        assert shapes.count((6, 6)) == panel.T - panel.train_len == 30
+        assert set(shapes) == {(2, 2), (6, 6)}
 
     @pytest.mark.parametrize("cov, match", [
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "not finite"),
         (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite")])
     def test_gaussian_lpd_rejects_a_bad_covariance(self, cov, match):
-        with pytest.raises(NumericError, match=match):
-            engine._gaussian_lpd(np.zeros(2), np.zeros(2), cov)
+        # a comparison row's Gaussian LPD reads the covariance's logdet and solve
+        for read in (lambda c: c.logdet(), lambda c: c.solve(np.zeros(2))):
+            with pytest.raises(NumericError, match=match):
+                read(Covariance(cov))
 
     def test_bad_comparison_covariance_names_the_row_and_date(self, monkeypatch):
         def nan_cov(R, F, train):

@@ -15,6 +15,9 @@
 (e) Importing the engine, in a fresh interpreter, leaves ``scipy.special``
     unloaded: the filter kernel's Student-t constant uses ``math.lgamma``,
     and only the ``dlm`` oracle uses ``gammaln``.
+(f) No module in ``src/riskcast`` but ``_batch`` imports ``scipy.linalg.lapack``,
+    so the Cholesky factorization and its failure messages have one home,
+    ``_batch._cholesky``.
 """
 
 import ast
@@ -165,3 +168,19 @@ def test_engine_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def imported_names(tree):
+    """Dotted names a module imports absolutely: ``import a.b`` gives a.b, and
+    ``from a import b`` gives a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def test_lapack_is_imported_by_batch_alone():
+    importers = sorted(path.name for path in MODULES if any(
+        name.startswith("scipy.linalg.lapack") for name in imported_names(parse(path))))
+    assert importers == ["_batch.py"]

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from _oracles import fee_bisection
 from riskcast import portfolio as pf
-from riskcast._batch import FactorCovariance
+from riskcast._batch import Covariance, FactorCovariance
 from riskcast.errors import (DegeneracyError, InfeasibleError, NumericError,
                              ParameterError, ShapeError, WindowError)
 from riskcast.portfolio import (KKT_TOL, apply_costs, constrained_weights, gmv_weights,
@@ -36,7 +36,7 @@ def random_spd(n, rng, scale=1.0):
 
 class TestMVP:
     def test_hand_case(self):
-        w = mvp_weights(np.array([0.1, 0.0]), np.eye(2), 0.05)
+        w = mvp_weights(np.array([0.1, 0.0]), Covariance(np.eye(2)), 0.05)
         np.testing.assert_allclose(w.w, [0.5, 0.5], atol=1e-12)
         assert w.w @ np.array([0.1, 0.0]) == pytest.approx(0.05)
 
@@ -47,7 +47,7 @@ class TestMVP:
             cov = random_spd(n, rng)
             mu = rng.normal(size=n)
             tau = float(rng.normal(scale=0.1))
-            w = mvp_weights(mu, cov, tau).w
+            w = mvp_weights(mu, Covariance(cov), tau).w
             assert w.sum() == pytest.approx(1.0, abs=1e-8)
             assert mu @ w == pytest.approx(tau, abs=1e-8)
             oracle = kkt_equality_solve(cov, [np.ones(n), mu], [1.0, tau])
@@ -55,15 +55,15 @@ class TestMVP:
 
     def test_collinear_mean_degenerates(self):
         with pytest.raises(DegeneracyError, match="minimum-variance"):
-            mvp_weights(np.full(3, 0.2), np.eye(3), 0.1)
+            mvp_weights(np.full(3, 0.2), Covariance(np.eye(3)), 0.1)
 
 
 class TestGMV:
     def test_identity_cov_equal_weights(self):
-        np.testing.assert_allclose(gmv_weights(np.eye(4)).w, 0.25, atol=1e-14)
+        np.testing.assert_allclose(gmv_weights(Covariance(np.eye(4))).w, 0.25, atol=1e-14)
 
     def test_inverse_variance_oracle(self):
-        w = gmv_weights(np.diag([1.0, 4.0])).w
+        w = gmv_weights(Covariance(np.diag([1.0, 4.0]))).w
         np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-12)
 
     def test_random_search_optimality(self):
@@ -71,7 +71,7 @@ class TestGMV:
         for _ in range(5):
             n = int(rng.integers(2, 7))
             cov = random_spd(n, rng)
-            w = gmv_weights(cov).w
+            w = gmv_weights(Covariance(cov)).w
             obj = w @ cov @ w
             v = rng.normal(size=(10_000, n))
             v /= v.sum(axis=1, keepdims=True)
@@ -81,17 +81,17 @@ class TestGMV:
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         cov = random_spd(5, rng)
-        base = gmv_weights(cov).w
+        base = gmv_weights(Covariance(cov)).w
         for c in (1e-6, 3.0, 1e7):
-            np.testing.assert_allclose(gmv_weights(c * cov).w, base, atol=1e-10)
+            np.testing.assert_allclose(gmv_weights(Covariance(c * cov)).w, base, atol=1e-10)
 
 
 LOADINGS = np.array([[1.0], [0.5]])
 BAD_COVARIANCES = [
-    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "not finite"),
-    (np.diag([1.0, np.inf]), "not finite"),
-    (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite"),
-    (np.diag([1.0, 0.0]), "not positive definite"),
+    (Covariance(np.array([[1.0, np.nan], [np.nan, 1.0]])), "not finite"),
+    (Covariance(np.diag([1.0, np.inf])), "not finite"),
+    (Covariance(np.array([[1.0, 2.0], [2.0, 1.0]])), "not positive definite"),
+    (Covariance(np.diag([1.0, 0.0])), "not positive definite"),
     # the factor form, whose Woodbury solve divides by the idiosyncratic variances
     (FactorCovariance(np.array([[np.nan], [0.5]]), np.eye(1), np.ones(2)), "not finite"),
     (FactorCovariance(LOADINGS, np.eye(1), np.array([1.0, np.inf])), "not finite"),
@@ -123,6 +123,8 @@ class TestFactorCovariance:
         # sig every other draw.  The Woodbury form subtracts D^-1 G (...) from
         # D^-1 rhs, so its gap to the dense solve grows like ||Sigma|| / min(idio);
         # over these 120 draws the worst gap is 1.8e-13 of the solution's scale.
+        # logdet, inherited by the factor form, reads the dense factor; its worst
+        # gap to LU's slogdet is 1.2e-15 of the value.
         rng = np.random.default_rng(seed)
         for draw in range(20):
             N, K = int(rng.integers(2, 121)), int(rng.integers(1, 7))
@@ -134,9 +136,12 @@ class TestFactorCovariance:
             fc = FactorCovariance(B, sig, idio)
             cov = np.asarray(fc)
             for rhs in (np.ones(N), np.column_stack((np.ones(N), rng.normal(scale=0.01, size=N)))):
-                x, ref = fc.solve(rhs), pf._solve_spd(cov, rhs)[0]
+                x, ref = fc.solve(rhs), Covariance(cov).solve(rhs)
                 assert x.shape == rhs.shape
                 assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            sign, ref = np.linalg.slogdet(cov)
+            assert sign == 1 and fc.logdet() == Covariance(cov).logdet()
+            assert abs(fc.logdet() - ref) <= 1e-12 * abs(ref)
 
     def test_shape_is_checked_against_the_mean(self):
         fc = FactorCovariance(LOADINGS, np.eye(1), np.ones(2))
@@ -149,11 +154,11 @@ class TestConstrained:
         rng = np.random.default_rng(3)
         cov = random_spd(4, rng)
         mu = rng.normal(size=4)
-        unc = mvp_weights(mu, cov, 0.05).w
+        unc = mvp_weights(mu, Covariance(cov), 0.05).w
         bound = np.abs(unc).max() * 2
         box = constrained_weights(cov, bound, mu, 0.05).w
         np.testing.assert_allclose(box, unc, atol=1e-8)
-        unc_g = gmv_weights(cov).w
+        unc_g = gmv_weights(Covariance(cov)).w
         box_g = constrained_weights(cov, np.abs(unc_g).max() * 2).w
         np.testing.assert_allclose(box_g, unc_g, atol=1e-8)
 
