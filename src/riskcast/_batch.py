@@ -1,36 +1,37 @@
 """Vectorized filter kernel used by the engine.
 
-Pool members are stacked into arrays so that every equation with the same
-regression dimension advances in one set of array operations: axis ``b``
-runs over equations (assets on parent masks of one size, or factor equations
-of one ordering position), each filtered under every pair of a loading
-discount delta and a volatility discount kappa.
+Each block of equations, the assets and the factors, is one pool whose
+members advance in one set of array operations, each under every pair of a
+loading discount delta and a volatility discount kappa.  Every member
+regresses on all of x = (1, factors), d = K + 1 columns; outside its parents
+its coefficients start at an exact 0 with zero prior variance and its
+regressor reads 0, so they stay 0 and it filters as the regression on its
+parents alone would.
 
-Each equation starts from the conjugate prior C0 = c0 s0 I on the scale of
-its prior variance s0 (West & Harrison 1997, sec. 16.4; Prado & West 2010,
-sec. 4.3).  Under variance discounting the scale-free covariance C* = C / s
-then starts at c0 I and evolves through the regressor row and delta alone:
-the data, s0 and kappa enter only s and the degrees of freedom n, and n,
-which ignores the data and delta (n <- kappa n + 1), is kept once per kappa.
-So the members of a pool that regress on one row, a group per parent mask,
-share one C* per delta: ``_C`` is (d, d, Pd, G) for G groups, ``_m`` (d, Pd, b)
-and ``_s`` (Pd, Pk, b) for Pd deltas and Pk kappas.  Equations are the
-contiguous innermost axis, so elementwise passes run over rows of b.  The
-recursions are those of the ``dlm`` module; the test suite asserts
-equivalence against that per-state reference kernel.
+Each equation starts from the conjugate prior C0 = c0 s0 on its parents and
+constant (West & Harrison 1997, sec. 16.4; Prado & West 2010, sec. 4.3).
+Under variance discounting the scale-free covariance C* = C / s starts at c0
+and evolves through the regressor row and delta alone: the data, s0 and kappa
+enter only s and the dof n, and n <- kappa n + 1 is kept once per kappa.  So
+the members that regress on one row, a group (an asset parent mask, a factor
+equation), share one C* per delta: ``_C`` is (d, d, Pd, G), ``_m`` (d, Pd, b),
+and ``_s`` and the log-scale state ``_ls`` (Pd, Pk, b), the members b the
+contiguous innermost axis.  The recursions are those of the ``dlm`` module,
+the reference kernel of the tests.
 
-A pool steps through evolve, forecast, log_densities and update, which uses
-the C*F and q* of forecast and the e = y - f and e^2 / q of log_densities.
-Densities come as (b, P) views of (P, b) arrays: one add per pool puts them
-into the engine's (mask, spec) x asset rows of model probabilities.
+A pool steps through evolve, forecast, log_densities and update.  Each
+(Pd, Pk, b) array of a step is a buffer of the pool, written through ``out=``,
+so a step allocates nothing of that size; the densities come as a (b, P) view
+of one, valid until the pool's next ``log_densities``.
 
 Recoupling works in the second moments S = E[x x'] of x = (1, factors): a
-selected regression of y on columns X of x gives E[y X] = S_XX a and
-E[y^2] = r/(r-2) (s + tr(R S_XX)) + a' E[y X], the one formula that fills S
-for the factors and gives each asset's mean and idiosyncratic variance.  Weight
-solves and Gaussian densities take a ``Covariance``, factored once by
-``_cholesky``, the one caller of LAPACK's potrf; the assets' B Sigma_f B' + D
-stays in factor form (``FactorCovariance``), which solves by Woodbury.
+selected regression of y on x, its coefficients a zero off its parents, gives
+E[y x] = S a and E[y^2] = r/(r-2) (s + tr(R S)) + a' E[y x], the one formula
+that fills S for the factors and gives each asset's mean and idiosyncratic
+variance.  Weight solves and Gaussian densities take a ``Covariance``, factored
+once by ``_cholesky``, the one caller of LAPACK's potrf; the assets'
+B Sigma_f B' + D stays in factor form (``FactorCovariance``), which solves by
+Woodbury.
 """
 
 from __future__ import annotations
@@ -45,63 +46,85 @@ from .errors import NumericError, ShapeError
 
 # floor on predictive dof in r/(r-2), so a deep volatility discount cannot abort a run
 DOF_FLOOR = 2.05
-# prior scale C0 = C0_STAR * s0 * I, in units of the equation's prior variance s0,
-# and prior dof N0; chosen on held-out LPD (see engine.DEFAULT_DELTA_GRID)
+# prior scale C0 = C0_STAR * s0 on a member's active coordinates, in units of the
+# equation's prior variance s0, and prior dof N0; chosen on held-out LPD (see
+# engine.DEFAULT_DELTA_GRID)
 C0_STAR, N0 = 1e3, 5.0
+# log Gamma(x + 1/2) - log Gamma(x) - log(x)/2 ~ sum_k c_k x^(1 - 2k): the Stirling
+# series of the two log Gammas differ by c_k = (2^(1-2k) - 2) B_2k / (2k (2k - 1)),
+# B_2k the Bernoulli numbers.  From x = 10 on, nine terms are exact to rounding.
+LGAMMA_HALF_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224,
+                      -5461 / 425984, 929569 / 15728640, -3202291 / 8912896)
+SERIES_FROM = 10.0
 
 
-def _ols_residual_variance(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _ols_residual_variance(Y: np.ndarray, X: np.ndarray, names=None) -> np.ndarray:
     """Prior scale s0 of each column of Y regressed on X: the plain sample
-    variance of its OLS residuals, floored away from zero; one fit for all columns."""
+    variance of its OLS residuals, one fit for all columns.  A variance at or
+    below 1e-12, of a constant column or one that X spans, would inflate the
+    column's densities without bound, so it raises NumericError naming the
+    column by ``names`` (default: its index)."""
     coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    resid = Y - X @ coef
-    return np.maximum(resid.var(axis=0), 1e-12)
+    var = (Y - X @ coef).var(axis=0)
+    if var.min() <= 1e-12:
+        j = int(np.argmin(var))
+        raise NumericError(f"{names[j] if names is not None else f'column {j}'} has zero "
+                           f"residual variance over the training window")
+    return var
 
 
-@functools.lru_cache(maxsize=2)
-def _t_log_constant(r: tuple) -> np.ndarray:
-    """Student-t log constant lgamma((r+1)/2) - lgamma(r/2) - log(r pi)/2 of each
-    dof in ``r``, as a read-only (len(r), 1) array.  The pools of a block share
-    r = kappa n, so the cache, one entry per block, computes it once per block and
-    date.  Few values, so math.lgamma serves, and scipy.special need not load."""
-    lg = np.array([math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) for x in r])
-    lt = lg[:, None] - 0.5 * np.log(np.array(r)[:, None] * np.pi)
-    lt.flags.writeable = False
-    return lt
+def _t_log_constant(r) -> np.ndarray:
+    """Student-t log constant lgamma((r+1)/2) - lgamma(r/2) - log(r pi)/2 of each dof
+    in ``r``, as a (len(r), 1) array: with x = r/2, log Gamma(x + 1/2) - log Gamma(x)
+    - log(2 pi x)/2.  From x = SERIES_FROM on, the two lgammas, whose difference
+    cancels as x grows, give way to the series, and log(x)/2 cancels exactly."""
+    return np.array([math.lgamma(x + 0.5) - math.lgamma(x) - 0.5 * math.log(2.0 * math.pi * x)
+                     if x < SERIES_FROM else
+                     sum(c / x ** (2 * k + 1) for k, c in enumerate(LGAMMA_HALF_SERIES))
+                     - 0.5 * math.log(2.0 * math.pi)
+                     for x in (np.asarray(r, float) / 2.0).tolist()])[:, None]
 
 
 class PoolGroup:
-    """States of all pool members with one regression dimension d.
+    """States of all pool members, each regressing on d columns.
 
     The members form ``groups`` groups of N = n_eq / groups consecutive
     members (by default one per member), and every member of group g
-    regresses on row g of the F (groups, d) given to ``forecast``.  ``deltas``
-    and ``kappas`` are the two discount grids.  Their P = Pd * Pk pairs are the
-    specs, numbered p = i_delta * Pk + i_kappa.  The dof recursion
-    n <- kappa n + 1 ignores delta and the data, so n and r = kappa n are (Pk,):
-    spec p reads entry p % Pk.
+    regresses on row g of the F (groups, d) given to ``forecast``.  ``active``
+    (groups, d), by default all True, marks each group's parents; C0 covers
+    those alone, so F must read 0 on the others.  ``deltas`` and ``kappas``
+    are the two discount grids.  Their P = Pd * Pk pairs are the specs,
+    numbered p = i_delta * Pk + i_kappa.  The dof recursion n <- kappa n + 1
+    ignores delta and the data, so n and r = kappa n are (Pk,): spec p reads
+    entry p % Pk.
 
     With regressor F and e = y - F'm, one step is, once per delta and group,
         q* = 1 + F'C*F / delta,   A = C*F / (delta q*),   C* <- C* / delta - A A' q*,
     once per delta and member m <- m + A e, and once per (delta, kappa) and
-    member, with q = q* s the forecast variance, z = (r + e^2 / q) / (r + 1)
-    and s <- s z.  Writing C = C* s, these are the ``dlm`` recursions of every
-    spec, from m = 0, C = c0 s0 I, s = s0 and n = n0.
+    member, with q = q* s the forecast variance and u = e^2 / q,
+        log p = lt(r) - log(q)/2 - (r + 1)/2 log1p(u / r),   s <- (r s + e^2 / q*) / (r + 1).
+    Writing C = C* s, these are the ``dlm`` recursions of every spec, from
+    m = 0, C = c0 s0 on the active coordinates, s = s0 and n = n0.
 
-    The evolution has identity transition, so it moves nothing: the prior
-    mean is m and the prior scale R is C / delta, which ``forecast`` and
-    ``update`` fold in instead of materializing.  ``update`` advances the
-    state in place, so ``_s`` holds the prior scale only between ``evolve``
-    and ``update``.  C* stays exactly symmetric: the update scales it
-    elementwise and subtracts (A_i A_j) q*, the same product at (i, j) and
-    (j, i).
+    The one logarithm per (member, spec), log1p(u / r), also advances the
+    log-scale state: log s moves by log(r / (r + 1)) + log1p(u / r), so
+    ``_ls`` holds -log(s)/2 less ``_ls_shift``, the sum over steps of
+    log((r + 1) / r)/2, which is (Pk,).  log q then needs no full-size log,
+    as q* is per (delta, group): ``evolve`` folds lt(r) and the shift into a
+    (Pk, 1) constant, and ``log_densities`` adds -log(q*)/2 per (delta, group).
+
+    The evolution has identity transition: the prior mean is m and the prior
+    scale R is C / delta, which ``forecast`` and ``update`` fold in.
+    ``update`` advances the state in place, so ``_s`` holds the prior scale
+    only between ``evolve`` and ``update``.  C* stays exactly symmetric: the
+    update subtracts (A_i A_j) q*, the same product at (i, j) and (j, i).
 
     ``m``, ``C`` and ``s`` return the state per spec, as (b, P, d),
     (b, P, d, d) and (b, P) arrays; the first two are copies.
     """
 
     def __init__(self, d: int, n_eq: int, deltas, kappas, s0, c0: float = C0_STAR,
-                 n0: float = N0, groups: int | None = None):
+                 n0: float = N0, groups: int | None = None, active=None):
         self.d = d
         self.deltas = np.asarray(deltas, float)
         self.kappas = np.asarray(kappas, float)
@@ -112,15 +135,20 @@ class PoolGroup:
         self._delta = self.deltas[:, None]          # broadcasts over (Pd, b) and (Pd, G)
         self._m = np.zeros((d, n_d, n_eq))
         self._m_grouped = self._m.reshape(d, n_d, G, n_eq // G)     # a view
-        self._s_grouped = (n_d, n_k, G, n_eq // G)
         self._C = np.zeros((d, d, n_d, G))
-        self._C[np.arange(d), np.arange(d)] = c0
+        on = np.ones((G, d)) if active is None else np.asarray(active, float)
+        self._C[np.arange(d), np.arange(d)] = c0 * on.T[:, None, :]
         self._s = np.broadcast_to(np.asarray(s0, float), (n_d, n_k, n_eq)).copy()
+        self._ls = -0.5 * np.log(self._s)
+        self._ls_shift = np.zeros((n_k, 1))
         self.n = np.full(n_k, n0)
-        # evolved prior quantities, populated by evolve(): r per kappa (Pk,), then r
-        # and the Student-t log constant as (Pk, 1), which broadcast over (Pd, Pk, b)
-        self.r = self._r = self._lt = None
-        self._CF = self._qs = self._e = self._u = None  # consumed by update()
+        # buffers: log1p(u / r) and the densities, (Pd, Pk, b); e and e^2 / q*, (Pd, b)
+        self._L, self._lp = np.empty_like(self._s), np.empty_like(self._s)
+        self._e, self._e2 = np.empty((n_d, n_eq)), np.empty((n_d, n_eq))
+        # evolved prior quantities, populated by evolve(): r per kappa (Pk,), and
+        # as (Pk, 1), which broadcast over (Pd, Pk, b): r, the density's constant
+        self.r = self._r = self._k0 = None
+        self._CF = self._qs = None      # consumed by update()
 
     @property
     def m(self) -> np.ndarray:
@@ -128,7 +156,8 @@ class PoolGroup:
 
     @property
     def C(self) -> np.ndarray:
-        C = self._C[:, :, :, None, :, None] * self._s.reshape(self._s_grouped)
+        G, n_d, n_k = self.groups, self.deltas.size, self.kappas.size
+        C = self._C[:, :, :, None, :, None] * self._s.reshape(n_d, n_k, G, -1)
         return C.reshape(self.d, self.d, self.P, self.n_eq).transpose(3, 2, 0, 1)
 
     @property
@@ -138,44 +167,57 @@ class PoolGroup:
     def evolve(self) -> None:
         self.r = self.kappas * self.n
         self._r = self.r[:, None]
-        self._lt = _t_log_constant(tuple(self.r.tolist()))
+        self._k0 = _t_log_constant(self.r) + self._ls_shift
 
     def forecast(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Forecast mean f (Pd, 1, b) and variance q (Pd, Pk, b), given each
-        group's regressor row, F (groups, d)."""
-        Ft = F.T[:, None]               # (d, 1, G): each column broadcast over the deltas
-        CF = (self._C * Ft).sum(axis=1)
-        qs = 1.0 + (CF * Ft).sum(axis=0) / self._delta
+        """Forecast mean f (Pd, b) and scale-free variance q* (Pd, groups), given
+        each group's regressor row, F (groups, d); q = q* s."""
+        Ft = np.asarray(F, float).T
+        self._CF = CF = np.einsum("ijkg,jg->ikg", self._C, Ft)
+        qs = np.einsum("ikg,ig->kg", CF, Ft)
+        qs /= self._delta
+        qs += 1.0
         if qs.min() <= 0:
             raise NumericError("non-positive forecast variance in batched filter")
-        self._CF, self._qs = CF, qs
-        f = (self._m_grouped * Ft[..., None]).sum(axis=0)
-        q = qs[:, None, :, None] * self._s.reshape(self._s_grouped)
-        return f.reshape(-1, 1, self.n_eq), q.reshape(self._s.shape)
+        self._qs = qs
+        # f = F'm per delta and group: (1, d) rows times the (d, N) strided blocks of m
+        f = np.matmul(Ft.T[:, None], self._m_grouped.transpose(1, 2, 0, 3))
+        return f.reshape(-1, self.n_eq), qs
 
-    def log_densities(self, y, f, q) -> np.ndarray:
-        """Student-t log predictive densities of y under (f, q), (b, P)."""
-        self._e = e = np.asarray(y, float) - f
-        self._u = u = e * e / q
-        lp = u / self._r
-        np.log1p(lp, out=lp)
-        lp *= self._r + 1.0
-        lp += np.log(q)
-        lp *= -0.5
-        lp += self._lt
+    def log_densities(self, y, f, qs) -> np.ndarray:
+        """Student-t log predictive densities of y (b,) under (f, q*): a (b, P) view
+        of the pool's buffer, valid until its next call."""
+        n_d, n_k, G = self.deltas.size, self.kappas.size, self.groups
+        e = np.subtract(y, f, out=self._e)
+        e2 = np.multiply(e, e, out=self._e2)
+        e2g = e2.reshape(n_d, G, -1)
+        e2g *= (1.0 / qs)[:, :, None]                           # e^2 / q*
+        L = np.divide(e2[:, None], self._s, out=self._L)        # u = e^2 / q
+        L *= 1.0 / self._r
+        np.log1p(L, out=L)
+        lp = np.multiply(L, -0.5 * (self._r + 1.0), out=self._lp)
+        lp += self._ls
+        lp4 = lp.reshape(n_d, n_k, G, -1)
+        lp4 += (self._k0 - 0.5 * np.log(qs)[:, None])[..., None]
         return lp.reshape(self.P, self.n_eq).T
 
     def update(self) -> None:
         """Posterior update in place, from the preceding forecast and log_densities."""
-        A, qs, e, z = self._CF, self._qs, self._e, self._u
-        self._CF = self._qs = self._e = self._u = None
+        A, qs, e, e2, L = self._CF, self._qs, self._e, self._e2, self._L
+        self._CF = self._qs = None
+        L *= -0.5
+        self._ls += L
+        self._ls_shift += 0.5 * np.log1p(1.0 / self._r)
+        s = self._s
+        s *= self._r
+        s += e2[:, None]
+        s *= 1.0 / (self._r + 1.0)
         A /= self._delta * qs           # adaptive vector C*F / (delta q*)
-        self._m_grouped += A[..., None] * e.reshape(self._m_grouped.shape[1:])
+        e, Ae = e.reshape(self._m_grouped.shape[1:]), e2.reshape(self._m_grouped.shape[1:])
+        for m_i, A_i in zip(self._m_grouped, A):
+            m_i += np.multiply(A_i[..., None], e, out=Ae)
         self._C /= self._delta
         self._C -= A[:, None] * A[None, :] * qs
-        z += self._r                    # z = (r + e^2 / q) / (r + 1)
-        z /= self._r + 1.0
-        self._s *= z
         self.n = self.r + 1.0
 
     def selected(self, members: np.ndarray, p_idx: np.ndarray):
@@ -190,40 +232,34 @@ class PoolGroup:
         return a, R, self.r[ki], s
 
 
-def _regression_moments(SXX, a, R, r, s):
-    """E[y X] = S_XX a, (b, d), and the expected predictive variance
-    r/(r-2) (s + tr(R S_XX)), (b,), of the selected priors (a, R, r, s), with
-    r floored at DOF_FLOOR; SXX is (b, d, d) or one (d, d) for all b."""
+def _regression_moments(S, a, R, r, s):
+    """E[y x] = S a, (b, d), and the expected predictive variance
+    r/(r-2) (s + tr(R S)), (b,), of the selected priors (a, R, r, s), with r
+    floored at DOF_FLOOR; S is (b, d, d) or one (d, d) for all b."""
     r = np.maximum(r, DOF_FLOOR)
-    yX = np.einsum("...ij,...j->...i", SXX, a)
-    return yX, (r / (r - 2.0)) * (s + np.einsum("...ij,...ji->...", R, SXX))
+    yX = np.einsum("...ij,...j->...i", S, a)
+    return yX, (r / (r - 2.0)) * (s + np.einsum("...ij,...ji->...", R, S))
 
 
-def moment_offsets(cols) -> list[np.ndarray]:
-    """Flat offsets into S (o, K+1, K+1), K = len(cols), of the blocks
-    S[o][c, c'] for c, c' in cols[j][o]: the x-columns of ordering o's
-    equation at position j, the constant 0, the parents, then the target."""
-    n = len(cols) + 1
-    return [(np.arange(c.shape[0])[:, None, None] * n + c[:, :, None]) * n + c[:, None, :]
-            for c in cols]
-
-
-def recursive_factor_moments(offsets, a_sel, R_sel, r_sel, s_sel) -> np.ndarray:
+def recursive_factor_moments(targets, a_sel, R_sel, r_sel, s_sel) -> np.ndarray:
     """Second moments S (o, K+1, K+1) of x = (1, factors) for every ordering.
 
-    Position j's block of S sits at ``offsets[j]``, from ``moment_offsets``,
-    and its selected priors in ``a_sel[j]`` etc., the coefficients in the
-    order of the regressor columns: a (o, j+1), R (o, j+1, j+1), r (o,), s (o,).
+    Position j of ordering o regresses x-column ``targets[j, o]`` on the
+    constant and the factors placed before it, under the selected prior
+    ``a_sel[j, o]`` (K+1,), ``R_sel[j, o]`` (K+1, K+1), ``r_sel[j, o]``,
+    ``s_sel[j, o]``, zero off those columns.  The rows of S of factors not yet
+    placed are still 0, and those are the columns where a and R are, so S a and
+    tr(R S) read the filled block alone; the target's row and column are then
+    written by index.
     """
-    n_ord, K = offsets[0].shape[0], len(offsets)
-    S = np.zeros((n_ord, K + 1, K + 1))
+    n_ord, d = targets.shape[1], a_sel.shape[-1]
+    S = np.zeros((n_ord, d, d))
     S[:, 0, 0] = 1.0
-    flat = S.reshape(-1)
-    for off, a, R, r, s in zip(offsets, a_sel, R_sel, r_sel, s_sel):
-        yX, var = _regression_moments(flat[off[:, :-1, :-1]], a, R, r, s)
-        flat[off[:, -1, :-1]] = yX
-        flat[off[:, :-1, -1]] = yX
-        flat[off[:, -1, -1]] = var + np.einsum("oi,oi->o", a, yX)
+    o = np.arange(n_ord)
+    for t, a, R, r, s in zip(targets, a_sel, R_sel, r_sel, s_sel):
+        yX, var = _regression_moments(S, a, R, r, s)
+        S[o, t] = S[o, :, t] = yX
+        S[o, t, t] = var + np.einsum("oi,oi->o", a, yX)
     return S
 
 
@@ -242,34 +278,19 @@ def mixture_factor_moments(log_probs: np.ndarray, S) -> tuple[np.ndarray, np.nda
     return mean, (cov + cov.T) / 2.0
 
 
-def batched_asset_moments(groups, cols, members: np.ndarray, p_idx: np.ndarray,
-                          lam: np.ndarray, sig: np.ndarray):
-    """Mean vector, loading matrix and idiosyncratic variances of all assets.
-
-    Asset j uses member ``members[j]`` of the groups in sequence, under spec
-    ``p_idx[j]``; the first d columns of ``cols[g]`` are the x-columns of group
-    g's members, over which each selected prior is written out into all of
-    x = (1, factors).  With S the second moments of x under factor mean ``lam``
-    and covariance ``sig``, an asset's mean is E[y 1] and its idiosyncratic
-    variance its expected predictive variance.
+def batched_asset_moments(a, R, r, s, lam: np.ndarray, sig: np.ndarray):
+    """Mean vector, loading matrix and idiosyncratic variances of all assets,
+    from each asset's selected prior over all of x = (1, factors), zero off its
+    parents: a (n, K+1), R (n, K+1, K+1), r (n,), s (n,).  With S the second
+    moments of x under factor mean ``lam`` and covariance ``sig``, an asset's
+    mean is E[y 1] and its idiosyncratic variance its expected predictive
+    variance.
     """
-    n, K = members.size, lam.size
     x_mean = np.concatenate(([1.0], lam))
     S = np.outer(x_mean, x_mean)
     S[1:, 1:] += sig
-    a_x, R_x = np.zeros((n, K + 1)), np.zeros((n, K + 1, K + 1))
-    r, s = np.empty(n), np.empty(n)
-    start = 0
-    for grp, c in zip(groups, cols):
-        rows = np.flatnonzero((members >= start) & (members < start + grp.n_eq))
-        mem = members[rows] - start
-        start += grp.n_eq
-        cx = c[mem, :grp.d]
-        a, R, r[rows], s[rows] = grp.selected(mem, p_idx[rows])
-        a_x[rows[:, None], cx] = a
-        R_x[rows[:, None, None], cx[:, :, None], cx[:, None, :]] = R
-    yX, idio = _regression_moments(S, a_x, R_x, r, s)
-    return yX[:, 0], a_x[:, 1:], idio
+    yX, idio = _regression_moments(S, a, R, r, s)
+    return yX[:, 0], a[:, 1:], idio
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

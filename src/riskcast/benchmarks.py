@@ -196,9 +196,7 @@ class FactorWishartDLM:
         self.factor_state = initial_wishart_state(n_factors, s0_diag, delta, kappa)
         s0 = np.maximum(np.broadcast_to(np.asarray(s0, float), (n_assets,)), 1e-12)
         self.assets = _batch.PoolGroup(1 + n_factors, n_assets, (delta,), (kappa,), s0, groups=1)
-        # (columns, member, spec) of every asset for batched_asset_moments
-        cols = np.broadcast_to(np.arange(1 + n_factors), (n_assets, 1 + n_factors))
-        self._sel = ([cols], np.arange(n_assets), np.zeros(n_assets, dtype=int))
+        self._sel = (np.arange(n_assets), np.zeros(n_assets, dtype=int))   # (member, spec) of each asset
         self.assets.evolve()    # kept evolved between periods, so predict may precede step
 
     def predict(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,15 +204,15 @@ class FactorWishartDLM:
         lam, sig_f = wishart_predictive(self.factor_state)
         if (r := float(self.assets.r[0])) <= 2.0:
             raise MomentError(f"asset equations: predictive variance needs dof > 2, got r={r}")
-        mean, B, idio = _batch.batched_asset_moments([self.assets], *self._sel, lam, sig_f)
+        mean, B, idio = _batch.batched_asset_moments(*self.assets.selected(*self._sel), lam, sig_f)
         return mean, np.asarray(_batch.FactorCovariance(B, sig_f, idio))
 
     def step(self, y_factors: np.ndarray, y_assets: np.ndarray) -> None:
         """Update the factor block and every asset filter on one period."""
         self.factor_state = wishart_dlm_step(self.factor_state, y_factors)[0]
         grp = self.assets
-        f, q = grp.forecast(np.concatenate(([1.0], np.asarray(y_factors, float)))[None])
-        grp.log_densities(y_assets, f, q)
+        f, qs = grp.forecast(np.concatenate(([1.0], np.asarray(y_factors, float)))[None])
+        grp.log_densities(y_assets, f, qs)
         grp.update()
         grp.evolve()
 
@@ -251,7 +249,8 @@ def _wdlm(R, F, train):
 
 def _factor_wdlm(R, F, train):
     X = np.column_stack([np.ones(train), F[:train]])
-    model = FactorWishartDLM(R.shape[1], F.shape[1], _batch._ols_residual_variance(R[:train], X))
+    model = FactorWishartDLM(R.shape[1], F.shape[1], _batch._ols_residual_variance(
+        R[:train], X, [f"asset {j}" for j in range(R.shape[1])]))
     for t in range(train):
         model.step(F[t], R[t])
     for t in range(train, len(R)):

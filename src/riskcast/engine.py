@@ -1,14 +1,15 @@
 """Sequential backtest orchestration.
 
-One pass over dates drives every equation pool through evolve -> select ->
-recouple -> optimize -> forecast -> update, recoupling and optimizing on
-evaluation dates only.  The optimize step holds the model covariance in factor
-form (``FactorCovariance``): the closed-form MVP and GMV solves apply its
-inverse by the Woodbury identity in O(N K^2), and only the box solve, which
-indexes the matrix, gets it dense.  Weights at date t use information through
-t-1 only; the realized values of date t enter afterwards via the Bayes updates.
-The training window runs through the same filter but records no metrics or
-weights.
+One pass over dates drives the two equation pools, one per block padded to
+x = (1, factors), through evolve -> select -> recouple -> optimize -> forecast
+-> update, recoupling and optimizing on evaluation dates only; each date's
+densities are read from a pool's buffer before its next step overwrites them.
+The optimize step holds the model covariance in factor form
+(``FactorCovariance``): the closed-form MVP and GMV solves apply its inverse by
+the Woodbury identity in O(N K^2), and only the box solve, which indexes the
+matrix, gets it dense.  Weights at date t use information through t-1 only;
+the realized values of date t enter afterwards via the Bayes updates.  The
+training window runs through the same filter but records no metrics or weights.
 
 Factor forecasts depend on the order in which the factors enter the
 triangular system, so the model learns over all K! orderings, K at most
@@ -53,8 +54,7 @@ import numpy as np
 from . import benchmarks as bench
 from . import portfolio as pf
 from ._batch import (DOF_FLOOR, Covariance, FactorCovariance, PoolGroup, _ols_residual_variance,
-                     batched_asset_moments, mixture_factor_moments, moment_offsets,
-                     recursive_factor_moments)
+                     batched_asset_moments, mixture_factor_moments, recursive_factor_moments)
 from .data import ReturnPanel
 from .errors import CapacityError, ParameterError, RiskcastError
 from .portfolio import BacktestReport, ModelRow, TCResult
@@ -221,10 +221,10 @@ def _log_probs(log_weights: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _DynamicFactorFilter:
-    """Batched state of the full model.  Every equation regresses one column
-    of the date's row z_t = (1, factors, returns) on the constant, column 0,
-    and its parents' columns: factor i is column 1 + i and asset j column
-    1 + K + j.  Both blocks are pooled by regression dimension."""
+    """Batched state of the full model.  Every equation regresses one column of
+    the date's row z_t = (1, factors, returns, 0) on x_t = (1, factors), columns
+    0 to K: factor i is column 1 + i and asset j column 1 + K + j.  Outside its
+    parents it reads the last entry of z_t, an exact 0, in place of x_t."""
 
     def __init__(self, panel: ReturnPanel, config: RunConfig):
         self.config = config
@@ -255,69 +255,53 @@ class _DynamicFactorFilter:
         self.n_ord = len(perms)
         self.ordering_log_weights = np.zeros(self.n_ord)     # each table starts uniform
 
-        # asset block: the masks are ordered by parent count, so a pool holds
-        # the (mask, asset) members of consecutive masks, mask-major (asset j
-        # on mask index i is member i N + j of the pools in sequence), and its
-        # specs (mask, delta, kappa) fill contiguous rows of the log
-        # weights, kept as (specs, N) so that they normalize over axis 0
+        # asset block: one group per parent mask, ordered by parent count, of the
+        # N assets, mask-major (asset j on mask index i is member i N + j), and its
+        # specs (mask, delta, kappa) fill contiguous rows of the log weights, kept
+        # as (specs, N) so that they normalize over axis 0
         self.P_r = len(config.delta_grid) * len(config.kappa_r_grid)
         masks = range(1, 1 << K) if config.sparsity else [(1 << K) - 1]
         self.masks = np.array(sorted(masks, key=lambda m: (bin(m).count("1"), m)))
-        mi, j = np.divmod(np.arange(len(self.masks) * N), N)
-        s0 = _ols_residual_variance(self.R[:train], self.X[:train])
-        self.asset_groups, self.asset_eqs = self._pools(
-            self.masks[mi], 1 + K + j, config.kappa_r_grid,
-            lambda rec: s0[rec[..., -1].ravel() - 1 - K])
-        self.asset_log_weights = np.zeros((len(self.masks) * self.P_r, N))
+        G = len(self.masks)
+        s0 = _ols_residual_variance(self.R[:train], self.X[:train],
+                                    [f"asset {a}" for a in panel.assets])
+        self.asset_cols, active = self._x_columns(self.masks)
+        self.asset_targets = np.tile(1 + K + np.arange(N), G)
+        self.asset_pool = PoolGroup(K + 1, G * N, config.delta_grid, config.kappa_r_grid,
+                                    np.tile(s0, G), groups=G, active=active)
+        self.asset_log_weights = np.zeros((G * self.P_r, N))
         self._assets = np.arange(N)
         self.include_mask = np.repeat((self.masks[:, None] >> np.arange(K)) & 1, self.P_r,
                                       axis=0).astype(float)
 
-        # factor block: each distinct equation (parent mask, target) once, in pool
-        # j, its parent count, from row factor_start[j] on.  Ordering o uses row
-        # factor_eq[j, o] at position j, its second moments at factor_offsets[j].
-        # The priors come from one OLS fit per parent mask, of all its targets.
+        # factor block: each distinct equation (parent mask, target) once, a group
+        # of its own, by parent count.  Ordering o uses row factor_eq[j, o] at
+        # position j.  The priors come from one OLS fit per parent mask, of all
+        # its targets.
         self.P_f = len(config.delta_grid) * len(config.kappa_f_grid)
         eqs = [[(sum(1 << i for i in p[:jj]), p[jj] + 1) for p in perms] for jj in range(K)]
         factor_eqs = [eq for pos in eqs for eq in sorted(set(pos))]
-        self.factor_groups, self.factor_eqs = self._pools(
-            *np.array(factor_eqs).T, config.kappa_f_grid,
-            lambda rec: np.concatenate([_ols_residual_variance(self.X[:train, g[:, -1]],
-                                                               self.X[:train, g[0, :-1]])
-                                        for g in rec]))
-        self.factor_start = np.cumsum([0] + [g.n_eq for g in self.factor_groups[:-1]])
+        f_masks, self.factor_targets = np.array(factor_eqs).T
+        self.factor_cols, active = self._x_columns(f_masks)
+        s0, names = np.empty(len(factor_eqs)), np.array(["1", *self.factor_names])
+        for mask in np.unique(f_masks):
+            rows, on = np.flatnonzero(f_masks == mask), active[f_masks == mask][0]
+            s0[rows] = _ols_residual_variance(
+                self.X[:train, self.factor_targets[rows]], self.X[:train, on],
+                [f"factor {names[t]} on {', '.join(names[on])}" for t in self.factor_targets[rows]])
+        self.factor_pool = PoolGroup(K + 1, len(factor_eqs), config.delta_grid,
+                                     config.kappa_f_grid, s0, active=active)
         row = {eq: e for e, eq in enumerate(factor_eqs)}
         self.factor_eq = np.array([[row[eq] for eq in pos] for pos in eqs])
         self.factor_log_weights = np.zeros((len(factor_eqs), self.P_f))
         self._factor_rows = np.arange(len(factor_eqs))
-        self.factor_offsets = moment_offsets([
-            rec[eq - st] for rec, eq, st in zip(self.factor_eqs, self.factor_eq, self.factor_start)])
 
-        # per pool: the group, the x-columns of each group's row, each member's target
-        self.pools = [(grp, rec[::grp.n_eq // grp.groups, :-1], rec[:, -1]) for grp, rec
-                      in zip(self.asset_groups + self.factor_groups, self.asset_eqs + self.factor_eqs)]
-
-    def _pools(self, masks, targets, kappas, prior_scales):
-        """One PoolGroup per regression dimension d for the equations, given by
-        parent count, that regress column targets[e] of z_t on the constant and
-        the parents in bit mask masks[e], with its members' records (b, d + 1):
-        regressor columns, then target, in Fortran order so that each column
-        gathered through them is contiguous.  The members on one parent mask
-        share a row, so they are one group: the masks come in consecutive blocks
-        of equally many members.  ``prior_scales`` maps a pool's records by group,
-        (groups, members, d + 1), to the s0 of its members in sequence."""
-        in_x = ((masks[:, None] << 1 | 1) >> np.arange(self.K + 1)) & 1
-        dims = in_x.sum(axis=1)
-        groups, records = [], []
-        for d in np.unique(dims):
-            rows = np.flatnonzero(dims == d)
-            cols = np.nonzero(in_x[rows])[1].reshape(-1, d)
-            records.append(np.asfortranarray(np.column_stack((cols, targets[rows]))))
-            n_groups = np.unique(masks[rows]).size
-            groups.append(PoolGroup(int(d), rows.size, self.config.delta_grid, kappas,
-                                    prior_scales(records[-1].reshape(n_groups, -1, d + 1)),
-                                    groups=n_groups))
-        return groups, records
+    def _x_columns(self, masks):
+        """The columns of z_t that the equations on parent ``masks`` read for x_t,
+        (equations, K + 1), and which of them are active: the constant and the
+        parents, where the others read the zero entry of z_t."""
+        active = ((masks[:, None] << 1 | 1) >> np.arange(self.K + 1)) & 1 == 1
+        return np.where(active, np.arange(self.K + 1), self.K + self.N + 1), active
 
     # ---- one step ----------------------------------------------------------
 
@@ -327,8 +311,8 @@ class _DynamicFactorFilter:
         asset table per asset, column of the (equations, P_f) factor table per
         equation).  Each table's picked entries are shifted to 0."""
         cfg = self.config
-        for grp, *_ in self.pools:
-            grp.evolve()
+        self.asset_pool.evolve()
+        self.factor_pool.evolve()
         fw, ow, aw = self.factor_log_weights, self.ordering_log_weights, self.asset_log_weights
         fw *= cfg.alpha
         sel_f = np.argmax(fw, axis=1)
@@ -338,10 +322,10 @@ class _DynamicFactorFilter:
         aw *= cfg.alpha
         sel_assets = np.argmax(aw, axis=0)
         aw -= aw[sel_assets, self._assets]
-        # the pools of a block share r = kappa n, one per kappa: spec p reads p % Pk
-        for block, grp, p_idx in (("factor", self.factor_groups[0], sel_f),
-                                  ("asset", self.asset_groups[0], sel_assets)):
-            if grp.r.min() <= DOF_FLOOR and np.any(grp.r[p_idx % grp.kappas.size] <= DOF_FLOOR):
+        # a pool keeps r = kappa n, one per kappa: spec p reads p % Pk
+        for block, pool, p_idx in (("factor", self.factor_pool, sel_f),
+                                   ("asset", self.asset_pool, sel_assets)):
+            if pool.r.min() <= DOF_FLOOR and np.any(pool.r[p_idx % pool.kappas.size] <= DOF_FLOOR):
                 warnings.warn(f"{block} equation degrees of freedom at the floor", RuntimeWarning)
         return sel_assets, sel_f
 
@@ -349,14 +333,14 @@ class _DynamicFactorFilter:
         """Predictive (asset mean, B, idio, factor mean, factor cov) of a selection,
         mixed over the ordering probabilities that ``select`` left; writes no state."""
         sel_assets, sel_f = selection
-        a_sel, R_sel, r_sel, s_sel = zip(*(
-            grp.selected(eq - st, sel_f[eq])
-            for grp, eq, st in zip(self.factor_groups, self.factor_eq, self.factor_start)))
-        S = recursive_factor_moments(self.factor_offsets, a_sel, R_sel, r_sel, s_sel)
+        eqs = self.factor_eq.ravel()
+        S = recursive_factor_moments(self.perms.T + 1, *(
+            v.reshape(*self.factor_eq.shape, *v.shape[1:])
+            for v in self.factor_pool.selected(eqs, sel_f[eqs])))
         lam, sig = mixture_factor_moments(self.ordering_log_probs(), S)
         mask_idx, p_idx = np.divmod(sel_assets, self.P_r)
-        mean, B, idio = batched_asset_moments(self.asset_groups, self.asset_eqs,
-                                              mask_idx * self.N + np.arange(self.N), p_idx, lam, sig)
+        mean, B, idio = batched_asset_moments(
+            *self.asset_pool.selected(mask_idx * self.N + self._assets, p_idx), lam, sig)
         return mean, B, idio, lam, sig
 
     def update_step(self, t: int, selection) -> float:
@@ -365,31 +349,26 @@ class _DynamicFactorFilter:
         orderings' and the assets' (masks x P, N).  Returns the asset-block log
         predictive density of the selected models."""
         sel_assets, sel_f = selection
-        z = np.concatenate((self.X[t], self.R[t]))
+        z = np.concatenate((self.X[t], self.R[t], [0.0]))
         dens = []
-        for grp, x_cols, targets in self.pools:
-            f, q = grp.forecast(z[x_cols])
-            dens.append(grp.log_densities(z[targets], f, q))
-            grp.update()
-        n_a = len(self.asset_groups)
-        dens_f = np.concatenate(dens[n_a:])
+        for pool, cols, targets in ((self.factor_pool, self.factor_cols, self.factor_targets),
+                                    (self.asset_pool, self.asset_cols, self.asset_targets)):
+            f, qs = pool.forecast(z[cols])
+            dens.append(pool.log_densities(z[targets], f, qs))
+            pool.update()
+        dens_f, dens_a = dens
         joint = dens_f[self.factor_eq, sel_f[self.factor_eq]].sum(axis=0)
         self.factor_log_weights += dens_f
         self.ordering_log_weights += joint
 
-        # a pool's densities, (P, masks x N) transposed, add into its rows
-        # (masks x P, N), and those of its assets' selected specs into sel
-        N, P = self.N, self.P_r
+        # the asset densities, (P, masks x N) transposed, add into the rows
+        # (masks x P, N), and those of each asset's selected spec into the LPD
+        N, P, G = self.N, self.P_r, len(self.masks)
+        dT = dens_a.T
+        table = self.asset_log_weights.reshape(G, P, N)
+        table += dT.reshape(P, G, N).transpose(1, 0, 2)
         mask_idx, p_idx = np.divmod(sel_assets, P)
-        sel, start = np.empty(N), 0
-        for grp, d in zip(self.asset_groups, dens[:n_a]):
-            G, dT = grp.groups, d.T
-            block = self.asset_log_weights[start * P:(start + G) * P].reshape(G, P, N)
-            block += dT.reshape(P, G, N).transpose(1, 0, 2)
-            j = np.flatnonzero((mask_idx >= start) & (mask_idx < start + G))
-            sel[j] = dT[p_idx[j], (mask_idx[j] - start) * N + j]
-            start += G
-        return float(sel.sum())
+        return float(dT[p_idx, mask_idx * N + self._assets].sum())
 
     def asset_log_probs(self) -> np.ndarray:
         """The asset table normalized over its specs: a new (masks x P, N) array."""

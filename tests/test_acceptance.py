@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 from _oracles import batch_nig_posterior, fee_bisection
 from riskcast import dlm, portfolio as pf
 from riskcast._batch import (Covariance, FactorCovariance, PoolGroup, batched_asset_moments,
-                             moment_offsets, recursive_factor_moments)
+                             recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import RunConfig, _DynamicFactorFilter, run_backtest, run_statistics_only
 
@@ -120,20 +120,29 @@ def _draw_factor_block(priors, perm, n, rng):
 def _batched_asset_moments(sels, lam, sig):
     """Asset mean and covariance from ``batched_asset_moments``, assembled as
     the engine does.  Each equation's prior is loaded into a one-member,
-    one-spec ``PoolGroup`` of its own, since a group holds one dof per spec
-    and the priors differ in r.  With delta = 1 the prior scale is
-    R = C* s_prev, so the stored scale-free covariance C* is R / s_prev."""
-    N = len(sels)
-    groups, cols = [], []
+    one-spec ``PoolGroup`` of its own over all of x = (1, factors), active on
+    the constant and its parents, since a pool holds one dof per spec and the
+    priors differ in r.  With delta = 1 the prior scale is R = C* s_prev, so
+    the stored scale-free covariance C* is R / s_prev."""
+    K = lam.size
+    priors = []
     for idx, pr in sels:
-        grp = PoolGroup(1 + len(idx), 1, [1.0], [1.0], pr.s_prev, n0=pr.r)
-        grp._m[:, 0, 0] = pr.a
-        grp._C[:, :, 0, 0] = pr.R / pr.s_prev
+        cols = [0, *(i + 1 for i in idx)]
+        active = np.isin(np.arange(K + 1), cols)
+        grp = PoolGroup(K + 1, 1, [1.0], [1.0], pr.s_prev, n0=pr.r, active=active[None])
+        grp._m[cols, 0, 0] = pr.a
+        grp._C[np.ix_(cols, cols, [0], [0])] = (pr.R / pr.s_prev)[:, :, None, None]
         grp.evolve()
-        groups.append(grp)
-        cols.append(np.array([[0, *(i + 1 for i in idx)]]))
-    mean, B, idio = batched_asset_moments(groups, cols, np.arange(N), np.zeros(N, int), lam, sig)
+        priors.append(grp.selected(np.array([0]), np.array([0])))
+    mean, B, idio = batched_asset_moments(*map(np.concatenate, zip(*priors)), lam, sig)
     return mean, np.asarray(FactorCovariance(B, sig, idio))
+
+
+def _full_width(pr, cols, K):
+    """A prior over the x-columns ``cols`` written out over all of x = (1, factors)."""
+    a, R = np.zeros(K + 1), np.zeros((K + 1, K + 1))
+    a[cols], R[np.ix_(cols, cols)] = pr.a, pr.R
+    return a, R
 
 
 def test_criterion_3_moment_oracle():
@@ -165,12 +174,13 @@ def test_criterion_3_moment_oracle():
                                         A @ A.T + 0.01 * np.eye(d),
                                         float(rng.uniform(10, 30)),
                                         float(rng.uniform(1e-4, 1e-3)))))
-        # position j's x-columns: the constant 0, then factors perm[:j+1] at i + 1
-        cols = [np.array([(0, *[i + 1 for i in perm[:j + 1]])]) for j in range(K)]
+        # position j regresses factor perm[j], x-column perm[j] + 1, on the
+        # constant 0, then factors perm[:j] at i + 1
+        a_sel, R_sel = zip(*(_full_width(pr, [0, *(np.array(perm[:j], int) + 1)], K)
+                             for j, pr in enumerate(fpriors)))
         S = recursive_factor_moments(
-            moment_offsets(cols),
-            [pr.a[None] for pr in fpriors], [pr.R[None] for pr in fpriors],
-            [np.array([pr.r]) for pr in fpriors], [np.array([pr.s_prev]) for pr in fpriors])[0]
+            np.array(perm)[:, None] + 1, np.array(a_sel)[:, None], np.array(R_sel)[:, None],
+            np.array([[pr.r] for pr in fpriors]), np.array([[pr.s_prev] for pr in fpriors]))[0]
         lam = S[0, 1:]
         sig_f = S[1:, 1:] - np.outer(lam, lam)
         asset_mean, asset_cov = _batched_asset_moments(sels, lam, sig_f)

@@ -11,8 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from riskcast import _batch, dlm, engine, portfolio as pf, recouple
 from riskcast._batch import (N0, Covariance, FactorCovariance, PoolGroup, _ols_residual_variance,
-                             _t_log_constant, batched_asset_moments, moment_offsets,
-                             recursive_factor_moments)
+                             batched_asset_moments, recursive_factor_moments)
 from riskcast.data import ReturnPanel, SyntheticSpec, generate_synthetic
 from riskcast.engine import (MODEL_NAME, RunConfig, _DynamicFactorFilter, _log_probs, logsumexp,
                              run_backtest, run_statistics_only)
@@ -65,6 +64,13 @@ def extended_step(state, F, y, delta, kappa):
                                        n=r + 1, s=state.s * z)
 
 
+def prior_q(group, qs, s_prior):
+    """The forecast variance q = q* s, (b, P), of a pool's q* (Pd, groups) and its
+    prior scale s (b, P), read before ``update``."""
+    per_member = np.repeat(qs, group.n_eq // group.groups, axis=1)     # (Pd, b)
+    return np.repeat(per_member, group.kappas.size, axis=0).T * s_prior
+
+
 def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1.0),
                                        kappas=(0.99, 1.0), steps=15, jump_at=None,
                                        tol=None, dens_tol=None, extended=False):
@@ -101,9 +107,10 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
         Freg = np.column_stack([np.ones(G), rng.normal(size=(G, 2))])
         y = rng.normal(size=3) * (4.0 if jump_at is not None and t >= jump_at else 1.0)
         group.evolve()
-        f, q = group.forecast(Freg)
+        f, qs = group.forecast(Freg)
+        q = prior_q(group, qs, group.s.copy())
         Freg = np.broadcast_to(Freg, (3, 3))
-        dens = group.log_densities(y, f, q)
+        dens = group.log_densities(y, f, qs)
         group.update()
         ref = {k: np.zeros((3, P)) for k in ("f", "q", "dens", "s")}
         ref_m, ref_C = np.zeros((3, P, 3)), np.zeros((3, P, 3, 3))
@@ -113,9 +120,9 @@ def check_pool_group_against_reference(per_equation_regressors, deltas=(0.998, 1
                     states[b][p], Freg[b], float(y[b]), dl, kp)
                 ref_m[b, p], ref_C[b, p] = states[b][p].m, states[b][p].C
                 ref["s"][b, p] = states[b][p].s
-        # f is (Pd, 1, b) and q is (Pd, Pk, b); spec p = i_delta * Pk + i_kappa
-        np.testing.assert_allclose(np.broadcast_to(f, q.shape).reshape(P, 3).T, ref["f"], **tol)
-        np.testing.assert_allclose(q.reshape(P, 3).T, ref["q"], **tol)
+        # f is (Pd, b) and q (b, P); spec p = i_delta * Pk + i_kappa
+        np.testing.assert_allclose(np.repeat(f, len(kappas), axis=0).T, ref["f"], **tol)
+        np.testing.assert_allclose(q, ref["q"], **tol)
         np.testing.assert_allclose(dens, ref["dens"], **dens_tol)
         np.testing.assert_allclose(group.m, ref_m, **tol)
         np.testing.assert_allclose(group.C, ref_C, **tol)
@@ -164,8 +171,8 @@ class TestBatchedKernelEquivalence:
             out = []
             for grp, rows in ((grouped, F), (single, np.repeat(F, N, axis=0))):
                 grp.evolve()
-                f, q = grp.forecast(rows)
-                out.append((f, q, grp.log_densities(y, f, q)))
+                f, qs = grp.forecast(rows)
+                out.append((f, prior_q(grp, qs, grp.s.copy()), grp.log_densities(y, f, qs)))
                 grp.update()
             for a, b in zip(*out):
                 np.testing.assert_allclose(a, b, **tol)
@@ -179,7 +186,7 @@ class TestBatchedKernelEquivalence:
         assert flt.n_ord == 6
         for t in range(panel.T):
             flt.update_step(t, flt.select())
-            for grp in flt.asset_groups + flt.factor_groups:
+            for grp in (flt.asset_pool, flt.factor_pool):
                 assert np.max(np.abs(grp.C - np.swapaxes(grp.C, -1, -2))) == 0.0
 
     def test_logsumexp_matches_scipy(self):
@@ -217,9 +224,15 @@ class TestBatchedKernelEquivalence:
             s_sel.append(s)
             ref.append((a, Rm, r, s))
         # position j regresses perms[:, j] on perms[:, :j], coefficients in
-        # that order; factor i is column i + 1 of x = (1, factors)
-        cols = [np.column_stack((np.zeros(2, int), perms[:, :j + 1] + 1)) for j in range(K)]
-        S = recursive_factor_moments(moment_offsets(cols), a_sel, R_sel, r_sel, s_sel)
+        # that order; factor i is column i + 1 of x = (1, factors), over all of
+        # which each prior is written out, zero off the constant and the parents
+        a_full, R_full = np.zeros((K, 2, K + 1)), np.zeros((K, 2, K + 1, K + 1))
+        for j in range(K):
+            for o in range(2):
+                cols = [0, *(perms[o, :j] + 1)]
+                a_full[j, o, cols] = a_sel[j][o]
+                R_full[j, o][np.ix_(cols, cols)] = R_sel[j][o]
+        S = recursive_factor_moments(perms.T + 1, a_full, R_full, np.array(r_sel), np.array(s_sel))
         for o, perm in enumerate(perms):
             priors = [dlm.PriorState(ref[j][0][o], ref[j][1][o], float(ref[j][2][o]),
                                      float(ref[j][3][o])) for j in range(K)]
@@ -231,8 +244,8 @@ class TestBatchedKernelEquivalence:
     def test_engine_second_moments_match_reference_for_every_ordering(self, monkeypatch):
         # K = 5 gives 120 orderings over 80 shared equations, so every
         # set-up layout (regressor columns, the equation each ordering uses,
-        # the offsets of its block) is exercised against the scalar recursion,
-        # which takes each ordering's coefficients in ordering order
+        # its target) is exercised against the scalar recursion, which takes
+        # each ordering's coefficients in ordering order
         panel = small_panel(seed=21, N=4, K=5, T=33, train=30)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="learn"))
         captured = []
@@ -249,12 +262,14 @@ class TestBatchedKernelEquivalence:
                 S, sel_f = captured[-1], selection[1]
                 for o, perm in enumerate(flt.perms):
                     priors = []
-                    for j, grp in enumerate(flt.factor_groups):
+                    for j in range(flt.K):
                         eq = flt.factor_eq[j, o]
-                        a, R, r, s = grp.selected(np.array([eq - flt.factor_start[j]]),
-                                                  sel_f[[eq]])
-                        # the equation stores its parents sorted; reorder them as perm
-                        order = [0, *(1 + np.searchsorted(np.sort(perm[:j]), perm[:j]))]
+                        a, R, r, s = flt.factor_pool.selected(np.array([eq]), sel_f[[eq]])
+                        # the pool keeps coefficients by x-column; take them in perm order
+                        order = [0, *(perm[:j] + 1)]
+                        # and zero on every other column
+                        off = np.setdiff1d(np.arange(flt.K + 1), order)
+                        assert not a[0][off].any() and not R[0][off].any()
                         priors.append(dlm.PriorState(a[0][order], R[0][np.ix_(order, order)],
                                                      float(r[0]), float(s[0])))
                     lam_ref, sig_ref = recouple.factor_moments(tuple(perm), priors)
@@ -268,25 +283,27 @@ class TestBatchedKernelEquivalence:
         K, N = 2, 5
         deltas, kappas = [1.0], [1.0]
         parents = [[i for i in range(K) if (m >> i) & 1] for m in range(1, 1 << K)]
-        # one group per mask, every asset a member of each
-        groups = [PoolGroup(1 + len(idx), N, deltas, kappas, rng.uniform(1e-4, 1e-3, N))
-                  for idx in parents]
-        cols = [np.broadcast_to([0, *(np.array(idx) + 1)], (N, 1 + len(idx))) for idx in parents]
-        for grp in groups:
-            grp.evolve()
-            # desynchronize states so the test is not trivial
-            grp._m += rng.normal(size=grp._m.shape) * 0.1
+        cols = [[0, *(np.array(idx) + 1)] for idx in parents]
+        active = np.array([np.isin(np.arange(K + 1), c) for c in cols])
+        # one group per mask, every asset a member of each, padded to x = (1, factors)
+        pool = PoolGroup(K + 1, len(parents) * N, deltas, kappas,
+                         rng.uniform(1e-4, 1e-3, len(parents) * N), groups=len(parents),
+                         active=active)
+        pool.evolve()
+        # desynchronize states on the active coordinates so the test is not trivial
+        pool._m += rng.normal(size=pool._m.shape) * 0.1 * np.repeat(active.T, N, axis=1)[:, None]
         lam = rng.normal(size=K) * 0.01
         A = rng.normal(size=(K, K)) * 0.02
         sig = A @ A.T + 1e-4 * np.eye(K)
-        sel = rng.integers(0, len(groups), size=N)
+        sel = rng.integers(0, len(parents), size=N)
         members = sel * N + np.arange(N)
-        mean, B, idio = batched_asset_moments(groups, cols, members, np.zeros(N, int), lam, sig)
+        mean, B, idio = batched_asset_moments(*pool.selected(members, np.zeros(N, int)), lam, sig)
         sels = []
-        for j in range(N):
-            g = groups[sel[j]]
+        for j, mem in enumerate(members):
+            c = cols[sel[j]]
             # delta = 1, so the prior scale R is C
-            prior = dlm.PriorState(g.m[j, 0], g.C[j, 0], float(g.r[0]), float(g.s[j, 0]))
+            prior = dlm.PriorState(pool.m[mem, 0][c], pool.C[mem, 0][np.ix_(c, c)],
+                                   float(pool.r[0]), float(pool.s[mem, 0]))
             sels.append((parents[sel[j]], prior))
         ref = recouple.asset_moments(lam, sig, sels)
         np.testing.assert_allclose(mean, ref.asset_mean, atol=1e-13)
@@ -296,53 +313,152 @@ class TestBatchedKernelEquivalence:
 
     @pytest.mark.parametrize("ordering", ["learn", "fixed"])
     def test_pools_group_members_by_parent_mask(self, ordering):
-        # asset member i N + j of a pool is asset j on the pool's i-th mask, in
-        # group i; a factor pool's group holds the equations on one parent mask,
-        # each with its own target.  Each member's regressor columns are its
-        # group's row, and the pools advance as one group per member would.
+        # asset member i N + j is asset j on mask i, in group i; each factor
+        # equation is a group of its own.  A group's regressor columns are the
+        # constant and its parents, at their x-columns, and the zero entry of
+        # z_t elsewhere; a factor equation's target is none of them.  Both pools
+        # advance as one group per member would.
         K = 3
         panel = small_panel(seed=23, N=4, K=K, T=40, train=20)
         flt = _DynamicFactorFilter(panel, RunConfig(ordering=ordering))
-        N = panel.n_assets
-        pools = [(grp, x_cols, targets, rec) for (grp, x_cols, targets), rec
-                 in zip(flt.pools, flt.asset_eqs + flt.factor_eqs)]
-        for (grp, x_cols, targets, rec), masks in zip(pools, np.split(
-                flt.masks, np.cumsum([g.n_eq // N for g in flt.asset_groups])[:-1])):
-            assert grp.groups == masks.size and grp._C.shape[-1] == masks.size
-            i, j = np.divmod(np.arange(grp.n_eq), N)
-            parents = (masks[i][:, None] >> np.arange(K)) & 1
-            assert np.all(parents.sum(axis=1) == grp.d - 1)
-            np.testing.assert_array_equal(rec[:, 1:-1], np.nonzero(parents)[1].reshape(
-                grp.n_eq, -1) + 1)
-            np.testing.assert_array_equal(targets, 1 + K + j)
-        for grp, x_cols, targets, rec in pools[len(flt.asset_groups):]:
-            size = grp.n_eq // grp.groups
-            for g in range(grp.groups):
-                block = slice(g * size, (g + 1) * size)
-                assert np.unique(targets[block]).size == size
-                assert not np.isin(targets[block], x_cols[g]).any()
-            assert np.unique(x_cols, axis=0).shape[0] == grp.groups
-        for grp, x_cols, targets, rec in pools:
-            np.testing.assert_array_equal(
-                rec[:, :-1], np.repeat(x_cols, grp.n_eq // grp.groups, axis=0))
-        refs = [PoolGroup(grp.d, grp.n_eq, grp.deltas, grp.kappas, grp.s[:, 0])
-                for grp, *_ in pools]
+        N, zero = panel.n_assets, 1 + K + panel.n_assets
+        ap, fp = flt.asset_pool, flt.factor_pool
+        assert ap.groups == flt.masks.size and ap.n_eq == flt.masks.size * N
+        assert ap._C.shape == (K + 1, K + 1, len(flt.config.delta_grid), flt.masks.size)
+        i, j = np.divmod(np.arange(ap.n_eq), N)
+        np.testing.assert_array_equal(flt.asset_targets, 1 + K + j)
+        parents = (flt.masks[:, None] >> np.arange(K)) & 1 == 1
+        np.testing.assert_array_equal(flt.asset_cols[:, 0], 0)
+        np.testing.assert_array_equal(flt.asset_cols[:, 1:],
+                                      np.where(parents, np.arange(1, K + 1), zero))
+        assert fp.groups == fp.n_eq == flt.factor_log_weights.shape[0]
+        assert np.all(flt.factor_cols[:, 0] == 0)
+        for cols, target in zip(flt.factor_cols, flt.factor_targets):
+            assert 1 <= target <= K and target not in cols
+            assert set(cols[1:]) <= set(range(1, K + 1)) | {zero}
+        rows = [(ap, flt.asset_cols, flt.asset_targets, ap.n_eq // ap.groups),
+                (fp, flt.factor_cols, flt.factor_targets, 1)]
+        refs = [PoolGroup(K + 1, grp.n_eq, grp.deltas, grp.kappas, grp.s[:, 0],
+                          active=np.repeat(cols != zero, size, axis=0))
+                for grp, cols, _, size in rows]
         for t in range(panel.T):
             flt.update_step(t, flt.select())
-            z = np.concatenate((flt.X[t], flt.R[t]))
-            for ref, (grp, x_cols, targets, rec) in zip(refs, pools):
+            z = np.concatenate((flt.X[t], flt.R[t], [0.0]))
+            for ref, (grp, cols, targets, size) in zip(refs, rows):
                 ref.evolve()
-                f, q = ref.forecast(z[rec[:, :-1]])
-                ref.log_densities(z[targets], f, q)
+                f, qs = ref.forecast(z[np.repeat(cols, size, axis=0)])
+                ref.log_densities(z[targets], f, qs)
                 ref.update()
                 for name in ("m", "C", "s"):
                     np.testing.assert_allclose(getattr(grp, name), getattr(ref, name),
                                                rtol=1e-12, atol=0)
 
+    def test_padded_pools_match_one_unpadded_pool_per_mask(self):
+        # each block is one pool padded to x = (1, factors); the reference
+        # filters each asset mask, and each factor parent mask with all of its
+        # targets, in a pool of its own width, on the paper's 3 x 3 asset grid.
+        # States on the active coordinates, s and the densities agree within
+        # 1e-12 (m and C scaled by their largest entry), and the padded
+        # coordinates stay exactly 0.
+        K = 3
+        panel = small_panel(seed=27, N=5, K=K, T=80, train=30)
+        cfg = RunConfig(ordering="learn")
+        assert len(cfg.delta_grid) == len(cfg.kappa_r_grid) == 3
+        flt = _DynamicFactorFilter(panel, cfg)
+        N, zero = panel.n_assets, 1 + K + panel.n_assets
+        blocks = []
+        for pool, cols, targets, size in ((flt.asset_pool, flt.asset_cols, flt.asset_targets, N),
+                                          (flt.factor_pool, flt.factor_cols, flt.factor_targets, 1)):
+            members = np.repeat(cols, size, axis=0)
+            refs = []
+            for row in np.unique(cols, axis=0):
+                idx = np.flatnonzero((members == row).all(axis=1))
+                on = row != zero
+                refs.append((idx, on, row[on], PoolGroup(int(on.sum()), idx.size, pool.deltas,
+                                                         pool.kappas, pool.s[idx, 0], groups=1)))
+            blocks.append((pool, targets, refs))
+        for t in range(panel.T):
+            selection = flt.select()
+            z = np.concatenate((flt.X[t], flt.R[t], [0.0]))
+            # update_step leaves each pool's densities in its buffer
+            flt.update_step(t, selection)
+            for pool, targets, refs in blocks:
+                dens = pool._lp.reshape(pool.P, pool.n_eq).T
+                m, C, s = pool.m, pool.C, pool.s
+                for idx, on, x_cols, ref in refs:
+                    ref.evolve()
+                    f, qs = ref.forecast(z[x_cols][None])
+                    ref_dens = ref.log_densities(z[targets[idx]], f, qs)
+                    ref.update()
+                    np.testing.assert_allclose(dens[idx], ref_dens, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(s[idx], ref.s, rtol=1e-12, atol=0)
+                    # coefficients near 0 are compared on the scale of their block
+                    for got, want in ((m[idx][..., on], ref.m),
+                                      (C[idx][..., on, :][..., on], ref.C)):
+                        np.testing.assert_allclose(got, want, rtol=0,
+                                                   atol=1e-12 * np.abs(want).max())
+                    assert not m[idx][..., ~on].any() and not C[idx][..., ~on, :].any()
+
+    def test_padded_coordinates_stay_exactly_zero(self):
+        # C0 covers the active coordinates alone, and the regressor row reads 0
+        # elsewhere, so over 3000 dates at delta = 0.95 the inactive rows of m
+        # and C* stay exactly 0; a full-rank C0 would grow as c0 delta^-t there
+        rng = np.random.default_rng(28)
+        d, G, N = 4, 3, 5
+        active = np.array([[1, 1, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1]], bool)
+        pool = PoolGroup(d, G * N, (0.95,), (0.99, 1.0), rng.uniform(0.5, 2.0, G * N), groups=G,
+                         active=active)
+        for t in range(3000):
+            pool.evolve()
+            F = np.where(active, rng.normal(size=(G, d)), 0.0)
+            F[:, 0] = 1.0
+            f, qs = pool.forecast(F)
+            pool.log_densities(rng.normal(size=G * N), f, qs)
+            pool.update()
+        off = ~np.repeat(active, N, axis=0).T                  # (d, b), one delta
+        assert np.all(pool._m[:, 0][off] == 0.0)
+        for g in range(G):
+            C = pool._C[..., g]
+            assert np.all(C[~active[g]] == 0.0) and np.all(C[:, ~active[g]] == 0.0)
+            assert np.all(np.isfinite(C)) and np.all(C[active[g], active[g]] > 0.0)
+        assert np.all(np.isfinite(pool._s)) and np.all(np.isfinite(pool._ls))
+
+    def test_a_paper_size_step_allocates_no_full_size_array(self):
+        # the paper's asset pool: 31 masks x 452 assets over x = (1, 5 factors),
+        # on the 3 x 3 grid.  Every (Pd, Pk, b) array of a step is a buffer of
+        # the pool, so after a first step, one step's live allocations stay
+        # below the size of one such array
+        tracemalloc = pytest.importorskip("tracemalloc")
+        rng = np.random.default_rng(29)
+        K, G, N = 5, 31, 452
+        masks = np.array(sorted(range(1, 1 << K), key=lambda m: (bin(m).count("1"), m)))
+        active = ((masks[:, None] << 1 | 1) >> np.arange(K + 1)) & 1 == 1
+        pool = PoolGroup(K + 1, G * N, (0.95, 0.975, 1.0), (0.99, 0.995, 1.0),
+                         rng.uniform(1e-4, 1e-3, G * N), groups=G, active=active)
+        full_size = pool._s.nbytes
+        assert full_size == 9 * G * N * 8
+
+        def step():
+            pool.evolve()
+            F = np.where(active, np.concatenate(([1.0], rng.normal(size=K) * 0.02)), 0.0)
+            f, qs = pool.forecast(F)
+            pool.log_densities(np.tile(rng.normal(size=N) * 0.02, G), f, qs)
+            pool.update()
+
+        step()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < full_size
+
     @pytest.mark.parametrize("K", [3, 5])
     def test_stacked_asset_pools_match_one_group_per_mask(self, K):
-        # the engine stacks the (mask, asset) members of all masks with one
-        # parent count into a pool; the reference keeps one PoolGroup per mask,
+        # the engine stacks the (mask, asset) members of all masks into one
+        # padded pool; the reference keeps one PoolGroup per mask,
         # its one regressor row broadcast to every asset, in the spec layout
         # of asset_log_weights (mask in flt.masks order, then delta, then kappa)
         panel = small_panel(seed=22, N=4, K=K, T=60, train=30)
@@ -565,9 +681,8 @@ class TestEngineInvariants:
             eager.update_step(t, sel_eager)
             for name in ("asset_log_weights", "factor_log_weights", "ordering_log_weights"):
                 assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
-            for a, b in zip(lazy.asset_groups + lazy.factor_groups,
-                            eager.asset_groups + eager.factor_groups):
-                for name in ("_m", "_C", "_s", "n"):
+            for a, b in ((lazy.asset_pool, eager.asset_pool), (lazy.factor_pool, eager.factor_pool)):
+                for name in ("_m", "_C", "_s", "_ls", "n"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("table", ["asset", "factor", "ordering"])
@@ -608,18 +723,58 @@ class TestEngineInvariants:
         assert np.array_equal(lw, forgotten - np.take_along_axis(forgotten, sel, axis))
         assert np.all(np.take_along_axis(lw, sel, axis) == 0.0)
 
-    def test_student_t_constant_once_per_block_and_date(self):
-        # the pools of a block share r = kappa n, so a date computes the
-        # Student-t log constant twice, for the assets and for the factors, and
-        # every pool of a block reads that one array
+    def test_student_t_constant_once_per_block_and_date(self, monkeypatch):
+        # each block is one pool, whose evolve computes the Student-t log
+        # constant once per kappa, so a date computes it twice, for the assets
+        # and for the factors, and forecasting and updating compute it not at all
         flt = _DynamicFactorFilter(small_panel(seed=26, N=4, K=3, T=30, train=20), RunConfig())
+        t_log_constant, calls = _batch._t_log_constant, []
+
+        def counted(r):
+            calls.append(np.array(r))
+            return t_log_constant(r)
+
+        monkeypatch.setattr(_batch, "_t_log_constant", counted)
         for t in range(3):
-            _t_log_constant.cache_clear()
+            calls.clear()
             selection = flt.select()
-            assert _t_log_constant.cache_info().misses == 2
-            for block in (flt.asset_groups, flt.factor_groups):
-                assert len(block) == 3 and all(g._lt is block[0]._lt for g in block)
             flt.update_step(t, selection)
+            assert len(calls) == 2
+            for pool, r in zip((flt.asset_pool, flt.factor_pool), calls):
+                assert np.array_equal(r, pool.r) and pool._k0.shape == (pool.kappas.size, 1)
+
+    def test_student_t_constant_matches_extended_precision(self):
+        # lgamma((r+1)/2) - lgamma(r/2) cancels as r grows; the series branch
+        # keeps the whole constant within 1e-13 of a 50-digit evaluation
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        r = np.concatenate((np.geomspace(2.05, 1e5, 400), [19.999, 20.0, 20.001, 9e4]))
+        got = _batch._t_log_constant(r)[:, 0]
+        for x, g in zip(r, got):
+            x = mpmath.mpf(float(x))
+            ref = (mpmath.loggamma((x + 1) / 2) - mpmath.loggamma(x / 2)
+                   - mpmath.log(x * mpmath.pi) / 2)
+            assert abs(g - float(ref)) <= 1e-13, float(x)
+
+    @pytest.mark.parametrize("case", ["zeroed asset", "duplicated factor"])
+    def test_degenerate_training_window_raises(self, case):
+        # a constant asset, or a factor that another spans, has zero OLS residual
+        # variance, whose floor would inflate its densities without bound: the
+        # filter rejects it, naming the column, as lw rejects a constant asset
+        panel = small_panel(seed=30, N=4, K=2, T=60, train=30)
+        if case == "zeroed asset":
+            R = panel.R.copy()
+            R[:, 2] = 0.0
+            panel = ReturnPanel(panel.dates, panel.assets, panel.factors, R, panel.F,
+                                panel.train_len)
+            match = f"asset {panel.assets[2]} has zero residual variance"
+        else:
+            panel = ReturnPanel(panel.dates, panel.assets, (*panel.factors, "copy"), panel.R,
+                                np.column_stack((panel.F, panel.F[:, 0])), panel.train_len)
+            match = "factor copy on 1, F0.* has zero residual variance"
+        for ordering in ("fixed", "learn"):
+            with pytest.raises(NumericError, match=match):
+                run_backtest(panel, RunConfig(ordering=ordering, strategy="gmv"))
 
     def test_stats_match_backtest_lpd(self):
         panel = small_panel(seed=9)
@@ -814,7 +969,7 @@ class TestEngineBehaviors:
         # each of every target on that set: the 2^K - 1 proper subsets
         assert len(calls) == 1 + 2 ** 4 - 1
         train = panel.train_len
-        s_factor = np.concatenate([grp.s[:, 0] for grp in flt.factor_groups])
+        s_factor = flt.factor_pool.s[:, 0]
         for jj in range(flt.K):
             for o, perm in enumerate(flt.perms):
                 X = np.column_stack([np.ones(train), panel.F[:train, list(perm[:jj])]])
@@ -823,7 +978,7 @@ class TestEngineBehaviors:
                 eq = flt.factor_eq[jj, o]
                 assert s_factor[eq] == pytest.approx((y - X @ coef).var(), rel=1e-12)
         # every mask of an asset starts from the asset's one fit
-        s_asset = np.concatenate([grp.s[:, 0] for grp in flt.asset_groups])
+        s_asset = flt.asset_pool.s[:, 0]
         X = np.column_stack([np.ones(train), panel.F[:train]])
         for j in range(panel.n_assets):
             coef, *_ = np.linalg.lstsq(X, panel.R[:train, j], rcond=None)

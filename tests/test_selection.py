@@ -77,21 +77,25 @@ class TestBuildPool:
         # ordering has one equation per position
         flt = make_filter(K=3, delta_grid=(0.95, 0.975, 1.0), kappa_f_grid=(0.999, 1.0))
         assert flt.factor_log_weights.shape == (3, 6)
-        for jj, grp in enumerate(flt.factor_groups):
-            assert grp.d == jj + 1
-            assert grp.P == 6
-            assert grp.n_eq == 1
+        pool = flt.factor_pool
+        # one pool over x = (1, factors), one group per equation
+        assert (pool.d, pool.P, pool.n_eq, pool.groups) == (4, 6, 3, 3)
+        zero = 1 + 3 + 2
+        for jj in range(3):
             assert flt.factor_eq[jj].tolist() == [jj]
-            # columns of x = (1, factors): the constant, then factor i at i + 1;
-            # the record ends with the target column
-            assert flt.factor_eqs[jj].tolist() == [list(range(jj + 2))]
+            # columns of x = (1, factors): the constant, then factor i at i + 1,
+            # and the zero entry of z_t past the parents; the target is jj + 1
+            assert flt.factor_cols[jj].tolist() == [*range(jj + 1), *[zero] * (3 - jj)]
+            assert flt.factor_targets[jj] == jj + 1
         # learned orderings share equations: position j holds each (sorted
         # parent set, target) once, C(K, j) (K - j) members, K 2^(K-1) in all
         K = 4
         flt = _DynamicFactorFilter(panel_with(K), RunConfig(ordering="learn"))
-        assert [grp.n_eq for grp in flt.factor_groups] == [4, 12, 12, 4]
+        members = [(tuple(c for c in cols if c != 1 + K + 2), t)
+                   for cols, t in zip(flt.factor_cols.tolist(), flt.factor_targets)]
+        assert np.bincount([len(c) - 1 for c, _ in members]).tolist() == [4, 12, 12, 4]
         assert flt.factor_log_weights.shape == (K * 2 ** (K - 1), flt.P_f)
-        members = [(tuple(eq[:-1]), eq[-1]) for eqs in flt.factor_eqs for eq in eqs.tolist()]
+        assert flt.factor_pool.n_eq == flt.factor_pool.groups == len(members)
         assert len(set(members)) == len(members)
         for jj in range(K):
             for o, perm in enumerate(flt.perms):
@@ -99,14 +103,16 @@ class TestBuildPool:
 
     @pytest.mark.parametrize("sparsity", [True, False])
     def test_asset_equation_layout(self, sparsity):
-        # one pool per parent count; asset j on mask m regresses column
-        # 1 + K + j of (1, factors, returns) on (0, parents of m + 1)
+        # one pool, a group per parent mask; asset j on mask m regresses column
+        # 1 + K + j of (1, factors, returns, 0) on (0, parents of m + 1), and
+        # reads the zero entry in place of every other factor
         K, N = 3, 4
         flt = make_filter(K=K, N=N, sparsity=sparsity)
-        assert len(flt.asset_groups) == (K if sparsity else 1)
+        assert flt.asset_pool.groups == (2 ** K - 1 if sparsity else 1)
         assert sorted(flt.masks) == (list(range(1, 1 << K)) if sparsity else [(1 << K) - 1])
-        members = [(tuple(eq[:-1]), eq[-1]) for eqs in flt.asset_eqs for eq in eqs.tolist()]
-        assert len(members) == N * len(flt.masks)
+        members = [(tuple(c for c in flt.asset_cols[i] if c != 1 + K + N), t)
+                   for i, t in zip(np.repeat(np.arange(len(flt.masks)), N), flt.asset_targets)]
+        assert len(members) == N * len(flt.masks) == flt.asset_pool.n_eq
         for j in range(N):
             for mi, m in enumerate(flt.masks):
                 parents = tuple(i + 1 for i in range(K) if (m >> i) & 1)
@@ -247,9 +253,11 @@ class TestInclusionProbability:
 
     def test_uniform_enumeration_oracle(self):
         # masks {01, 10, 11}: with the probabilities left uniform by equal
-        # densities (all loadings zero, one spec per mask), factor 0 sits in 2 of 3
+        # densities (the first date's factors zero, so every mask forecasts from
+        # its prior alone; one spec per mask), factor 0 sits in 2 of 3.  The
+        # training window keeps its factors, as a constant one is rejected.
         panel = panel_with(K=2)
-        panel.F[:] = 0.0
+        panel.F[0] = 0.0
         flt = _DynamicFactorFilter(panel, RunConfig(ordering="fixed", delta_grid=(1.0,),
                                                     kappa_r_grid=(1.0,)))
         flt.update_step(0, flt.select())
