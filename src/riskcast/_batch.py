@@ -31,7 +31,10 @@ that fills S for the factors and gives each asset's mean and idiosyncratic
 variance.  Weight solves and Gaussian densities take a ``Covariance``, factored
 once by ``_cholesky``, the one caller of LAPACK's potrf; the assets'
 B Sigma_f B' + D stays in factor form (``FactorCovariance``), which solves by
-Woodbury.
+Woodbury.  The box-constrained weight solve wraps its dense matrix in one
+``Covariance`` per call and reads the columns of the inverse it needs from
+that factor, and the Wishart comparison row checks its volatility matrix by
+``_cholesky`` too.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ def lw_shrinkage(window: np.ndarray) -> np.ndarray:
     y = X ** 2
     phi_mat = (y.T @ y) / t - sample ** 2
     phi = phi_mat.sum()
-    theta = ((X ** 3).T @ X) / t - var[:, None] * sample
+    theta = ((y * X).T @ X) / t - var[:, None] * sample
     np.fill_diagonal(theta, 0.0)
     rho = np.trace(phi_mat) + avg_corr * ((1.0 / sd)[:, None] * sd[None, :] * theta).sum()
     gamma = np.linalg.norm(sample - target, "fro") ** 2
@@ -159,9 +159,11 @@ def wishart_dlm_step(state: WishartDLMState, y: np.ndarray
     c_new = rho / q
     S_new = (r * state.S + np.outer(e, e) / q) / (r + 1.0)
     S_new = (S_new + S_new.T) / 2.0
+    jittered = S_new.copy()
+    jittered.flat[::y.size + 1] += 1e-12 * np.trace(S_new) / y.size
     try:
-        np.linalg.cholesky(S_new + 1e-12 * np.trace(S_new) / y.size * np.eye(y.size))
-    except np.linalg.LinAlgError:
+        _batch._cholesky(jittered)
+    except NumericError:
         raise NumericError("volatility location matrix lost positive definiteness") from None
     new = WishartDLMState(m_new, c_new, S_new, r + 1.0, state.delta, state.kappa)
     return new, mean_pred, cov_pred

@@ -439,8 +439,8 @@ def _solve_weights(config: RunConfig, mean: np.ndarray, cov: Covariance,
                    start: np.ndarray | None) -> pf.WeightVector:
     """Weights for one date under the run's strategy; ``start`` (the previous
     date's weights of the same row) warm-starts the box solve.  The closed forms
-    take ``cov`` itself; the box solve, whose active-set method indexes blocks
-    of the matrix, gets it as a dense array."""
+    take ``cov`` itself; the box solve takes the dense array and factors it once
+    more, in a ``Covariance`` of its own, for its active-set iterations."""
     bound, tau = config.max_weight, config.tau_periodic
     if config.strategy == "gmv":
         if bound is not None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._batch import Covariance
 from .errors import (DegeneracyError, InfeasibleError, NumericError,
                      ParameterError, ShapeError, WindowError)
 
@@ -164,16 +165,29 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
     box, by a primal active-set method.  The iterate stays feasible: it starts
     at ``start`` (typically the previous date's weights) or at equal weights,
     moved toward a box vertex when a return target must be met.  Each
-    iteration holds the working set of bounds fixed and solves the bordered
-    KKT system of the free weights for the minimizer on that face.  If a free
-    weight would leave the box on the way, the step stops at the first bound
-    it meets (the ratio test) and that bound joins the working set.  Otherwise
-    the minimizer is taken, and the bound whose multiplier is most
-    wrong-signed, beyond ``KKT_TOL``, leaves the working set; when none is,
-    the minimizer is optimal.  A blocking bound's weight moved along a
-    direction that every working constraint holds fixed, so its row is never
-    a combination of theirs: the working set stays linearly independent and
-    the KKT system nonsingular.
+    iteration holds the working set B of bounds fixed and finds the minimizer
+    on that face.  If a free weight would leave the box on the way, the step
+    stops at the first bound it meets (the ratio test) and that bound joins
+    the working set.  Otherwise the minimizer is taken, and the bound whose
+    multiplier is most wrong-signed, beyond ``KKT_TOL``, leaves the working
+    set; when none is, the minimizer is optimal.
+
+    The face is solved in the space of its working constraints C = [E_F; I_B]
+    (the range-space method of Nocedal & Wright 2006, secs. 16.2 and 16.5):
+    E_F, the m equality rows with the bound columns zeroed, is orthogonal to
+    I_B, which keeps C Sigma^-1 C' as well conditioned as the face (with E
+    itself it reached a condition of 1e6 when all but a few weights were
+    bound).  With Z = Sigma^-1 C', the face point is w = Z g, (C Z) g = c, c
+    the equality values less E_B w_B and the bound weights, and the bounds'
+    multipliers, signed so that >= 0 is right, are -2 (g_B - E_B' g_E) sign(w_B).
+    Sigma is factored once per call, as a ``Covariance``, which solves
+    Sigma^-1 E' once and a bound's column of Sigma^-1 when it first joins, so
+    an iteration costs O(n |B|) and one solve of order m + |B|.  Sigma must be
+    positive definite, as for ``gmv_weights`` and ``mvp_weights``:
+    NumericError otherwise.  A blocking bound's weight moved along a direction
+    that every working constraint holds fixed, so its row is never a
+    combination of theirs: the working set stays linearly independent and
+    C Sigma^-1 C' nonsingular.
     """
     cov = np.asarray(cov, float)
     n = cov.shape[0]
@@ -214,21 +228,30 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
         fixed[i] = False
 
     m = E.shape[0]
+    sigma = Covariance(cov)
+    inv_E = sigma.solve(E.T)
+    inv = np.empty((n, n))              # column j of Sigma^-1, once bound j has joined
+    known = np.zeros(n, bool)
     for _ in range(4 * n + 16):
         F = np.flatnonzero(~fixed)
         B = np.flatnonzero(fixed)
-        k = F.size
-        kkt = np.zeros((k + m, k + m))
-        kkt[:k, :k] = 2.0 * cov[np.ix_(F, F)]
-        kkt[:k, k:] = E[:, F].T
-        kkt[k:, :k] = E[:, F]
-        rhs = np.concatenate([-2.0 * cov[np.ix_(F, B)] @ w[B], vals - E[:, B] @ w[B]])
+        new = B[~known[B]]
+        if new.size:
+            unit = np.zeros((n, new.size))
+            unit[new, np.arange(new.size)] = 1.0
+            inv[:, new] = sigma.solve(unit)
+            known[new] = True
+        E_B, inv_B = E[:, B], inv[:, B]
+        Z = np.hstack([inv_E - inv_B @ E_B.T, inv_B])
+        Z_F = Z[F]
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            g = np.linalg.solve(np.vstack([E[:, F] @ Z_F, Z[B]]),
+                                np.concatenate([vals - E_B @ w[B], w[B]]))
         except np.linalg.LinAlgError:
             raise NumericError("singular KKT system in the active-set solve") from None
+        k = F.size
         if k > m:
-            w_face = sol[:k]
+            w_face = Z_F @ g
             outside = np.abs(w_face) > bound + 1e-12
             if outside.any():
                 # ratio test: stop at the first bound a free weight meets
@@ -243,8 +266,8 @@ def constrained_weights(cov: np.ndarray, bound: float, mean: np.ndarray | None =
                 continue
             w[F] = np.clip(w_face, -bound, bound)
         # With k == m the face is the one point w, and the solve gives only its
-        # multipliers.  Those of the bounds, signed so that >= 0 is right:
-        mult = -(2.0 * cov[B] @ w + E[:, B].T @ sol[k:]) * np.sign(w[B])
+        # multipliers.
+        mult = -2.0 * (g[m:] - E_B.T @ g[:m]) * np.sign(w[B])
         if B.size == 0 or mult.min() >= -KKT_TOL:
             if np.max(np.abs(E @ w - vals)) > 1e-10:
                 raise NumericError("active-set solution violates equality constraints")

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from riskcast import portfolio as pf
 from riskcast.data import SyntheticTruth
 
 
@@ -18,6 +19,55 @@ def batch_nig_posterior(X, y, m0, C0, n0, s0):
     nT = n0 + len(y)
     sT = (n0 * s0 + y @ y + m0 @ V0i @ m0 - mT @ VTi @ mT) / nT
     return mT, VT * sT, nT, sT
+
+
+def bordered_box_weights(cov, bound, mean=None, target=None, start=None):
+    """The active-set box solve of ``portfolio.constrained_weights`` with its
+    face solved on the free weights: each iteration gathers Sigma_FF and solves
+    the bordered KKT system of the free block and the equality rows by LU.
+    Takes a feasible problem with n * bound > 1 and returns w."""
+    n = cov.shape[0]
+    E, vals, extremes = np.ones((1, n)), np.ones(1), None
+    if target is not None:
+        extremes = pf._box_extreme_points(mean, bound)
+        E, vals = np.vstack([E, mean]), np.array([1.0, float(target)])
+    w = pf._feasible_start(bound, start, n, mean, target, extremes)
+    fixed = np.abs(w) >= bound * (1.0 - 1e-12)
+    w[fixed] = np.copysign(bound, w[fixed])
+    for i in np.flatnonzero(fixed)[::-1]:
+        free = ~fixed
+        if free.any() and (target is None or np.ptp(mean[free]) > 0):
+            break
+        fixed[i] = False
+    m = E.shape[0]
+    for _ in range(4 * n + 16):
+        F, B = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+        k = F.size
+        kkt = np.zeros((k + m, k + m))
+        kkt[:k, :k] = 2.0 * cov[np.ix_(F, F)]
+        kkt[:k, k:] = E[:, F].T
+        kkt[k:, :k] = E[:, F]
+        rhs = np.concatenate([-2.0 * cov[np.ix_(F, B)] @ w[B], vals - E[:, B] @ w[B]])
+        sol = np.linalg.solve(kkt, rhs)
+        if k > m:
+            w_face = sol[:k]
+            outside = np.abs(w_face) > bound + 1e-12
+            if outside.any():
+                p = w_face - w[F]
+                edge = np.copysign(bound, p)
+                steps = np.full(k, np.inf)
+                steps[outside] = (edge[outside] - w[F][outside]) / p[outside]
+                j = int(np.argmin(steps))
+                w[F] += steps[j] * p
+                w[F[j]] = edge[j]
+                fixed[F[j]] = True
+                continue
+            w[F] = np.clip(w_face, -bound, bound)
+        mult = -(2.0 * cov[B] @ w + E[:, B].T @ sol[k:]) * np.sign(w[B])
+        if B.size == 0 or mult.min() >= -pf.KKT_TOL:
+            return w
+        fixed[B[int(np.argmin(mult))]] = False
+    raise AssertionError("the bordered active-set solve did not converge")
 
 
 def fee_bisection(rc, rb, gamma, lo=-0.5, hi=0.5):

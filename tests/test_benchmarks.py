@@ -192,6 +192,12 @@ class TestWishartDLM:
         with pytest.raises(MomentError, match=r"dof > 2, got r=2\.0"):
             wishart_dlm_step(initial_wishart_state(3, kappa=0.2), np.zeros(3))
 
+    def test_nan_return_raises(self):
+        # a NaN return makes the updated S NaN, which the positive-definiteness
+        # check must reject rather than factor into NaNs
+        with pytest.raises(NumericError, match="lost positive definiteness"):
+            wishart_dlm_step(initial_wishart_state(3), np.array([0.01, np.nan, 0.0]))
+
 
 class TestFactorWishartDLM:
     def test_predictions_precede_updates(self):

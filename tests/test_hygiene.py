@@ -18,6 +18,10 @@
 (f) No module in ``src/riskcast`` but ``_batch`` imports ``scipy.linalg.lapack``,
     so the Cholesky factorization and its failure messages have one home,
     ``_batch._cholesky``.
+(g) ``portfolio``, ``benchmarks`` and ``engine`` call no ``np.linalg.cholesky``:
+    their factorizations and positive-definiteness checks go through
+    ``_batch._cholesky``, whose dpotrf raises on a NaN matrix, where numpy's
+    returns NaNs.
 """
 
 import ast
@@ -184,3 +188,19 @@ def test_lapack_is_imported_by_batch_alone():
     importers = sorted(path.name for path in MODULES if any(
         name.startswith("scipy.linalg.lapack") for name in imported_names(parse(path))))
     assert importers == ["_batch.py"]
+
+
+def numpy_cholesky_calls(tree):
+    """Lines that call or import numpy's ``linalg.cholesky``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "cholesky"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+              and any(a.name == "cholesky" for a in node.names)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("name", ["portfolio.py", "benchmarks.py", "engine.py"])
+def test_weight_and_row_modules_factor_through_batch(name):
+    assert list(numpy_cholesky_calls(parse(PACKAGE / name))) == []

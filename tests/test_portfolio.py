@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from _oracles import fee_bisection
+from _oracles import bordered_box_weights, fee_bisection
+from riskcast import _batch
 from riskcast import portfolio as pf
 from riskcast._batch import Covariance, FactorCovariance
 from riskcast.errors import (DegeneracyError, InfeasibleError, NumericError,
@@ -102,7 +103,8 @@ BAD_COVARIANCES = [
 
 class TestCovarianceChecks:
     """A covariance that cannot be factored raises NumericError, which callers
-    that catch RiskcastError can name, from both closed-form solvers."""
+    that catch RiskcastError can name, from both closed-form solvers and, for
+    the dense matrices, from the box solve."""
 
     @pytest.mark.parametrize("cov, match", BAD_COVARIANCES)
     def test_gmv(self, cov, match):
@@ -113,6 +115,13 @@ class TestCovarianceChecks:
     def test_mvp(self, cov, match):
         with pytest.raises(NumericError, match=match):
             mvp_weights(np.array([0.1, 0.0]), cov, 0.05)
+
+    @pytest.mark.parametrize("cov, match", BAD_COVARIANCES[:4])
+    def test_constrained(self, cov, match):
+        # (0.5, 0.5) is a stationary point of the indefinite matrix's variance,
+        # but not a minimum: (0.8, 0.2) has 1.32 against its 1.5
+        with pytest.raises(NumericError, match=match):
+            constrained_weights(np.asarray(cov), 0.9)
 
 
 class TestFactorCovariance:
@@ -280,6 +289,43 @@ class TestConstrainedProperties:
                 assert abs(mean @ w - target) <= 1e-10 * (1 + np.abs(mean).max())
             assert box_kkt_holds(cov, bound, w, E)
             np.testing.assert_allclose(w, cold, rtol=0, atol=1e-9)
+
+    @given(box_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_face_solve_matches_the_bordered_oracle(self, problem):
+        # The same working set at every iteration, read off the order of each
+        # iteration's system (m + |B| here, n - |B| + m in the oracle), the same
+        # bounds at the end and the same weights, from one n x n factor per call.
+        rng, cov, bound, mean, target = problem
+        n = cov.shape[0]
+        assume(bound * n > 1.0)
+        m = 1 if target is None else 2
+        vertex = pf._box_extreme_points(rng.normal(size=n), bound)[1]
+        solve, cholesky = np.linalg.solve, _batch._cholesky
+        orders, factored = [], []
+
+        def counted_solve(a, b):
+            orders.append(a.shape[0])
+            return solve(a, b)
+
+        def counted_cholesky(a):
+            factored.append(a.shape)
+            return cholesky(a)
+
+        for start in (None, vertex):
+            orders.clear()
+            factored.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.linalg, "solve", counted_solve)
+                mp.setattr(_batch, "_cholesky", counted_cholesky)
+                w = constrained_weights(cov, bound, mean, target, start=start).w
+                bounds = [k - m for k in orders]
+                orders.clear()
+                ref = bordered_box_weights(cov, bound, mean, target, start=start)
+            assert factored == [(n, n)]
+            assert bounds == [n + m - k for k in orders]
+            assert np.array_equal(np.abs(w) == bound, np.abs(ref) == bound)
+            np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12)
 
     @given(box_problems(), st.booleans(), st.floats(1e-6, 1.0))
     @settings(max_examples=50, deadline=None)
